@@ -175,13 +175,24 @@ def to_dense(w: Matrix) -> DenseMatrix:
 
 
 def norm_inf(w: Matrix) -> float:
-    """Maximum absolute row sum."""
+    """Maximum absolute row sum; O(m) from the bands of a band container."""
+    if isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
+        sums = np.abs(w.q)
+        if w.m > 1:
+            if isinstance(w, TridiagonalMatrix):
+                sums[1:] += np.abs(w.p)
+            sums[:-1] += np.abs(w.r)
+        return float(np.max(sums))
     a = w.a if isinstance(w, DenseMatrix) else dense_array(w)
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
 def frobenius_norm(w: Matrix) -> float:
-    """Euclidean (Frobenius) norm of the entries."""
+    """Euclidean (Frobenius) norm of the entries; O(m) from the bands of a
+    band container."""
+    if isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
+        bands = [w.q, w.r] + ([w.p] if isinstance(w, TridiagonalMatrix) else [])
+        return float(np.linalg.norm(np.concatenate(bands)))
     a = w.a if isinstance(w, DenseMatrix) else dense_array(w)
     return float(np.linalg.norm(a))
 

@@ -67,8 +67,9 @@ def perturbation_magnitude(scale: float, prec: Precision = DEFAULT_PRECISION) ->
 
 
 def is_exact_zero(value: float) -> bool:
-    """True for a defined entry equal to exactly 0.0 (NaN means undefined)."""
-    return (not np.isnan(value)) and value == 0.0
+    """True for a defined entry equal to exactly 0.0 (NaN means undefined,
+    and compares unequal to everything)."""
+    return value == 0.0
 
 
 def lambda_sequence(c3, start_row: int = 1) -> np.ndarray:

@@ -103,6 +103,20 @@ def test_norms_match_numpy():
         assert_allclose(frobenius_norm(w), np.linalg.norm(a, "fro"), rtol=1e-14)
 
 
+def test_band_norms_match_dense_formula():
+    # The band formulas for both band containers, and the dense path, agree
+    # with the dense row-sum and Frobenius formulas, down to order 1.
+    rng = np.random.default_rng(107)
+    for m in (1, 2, 3, 7, 40):
+        q = rng.standard_normal(m)
+        p, r = rng.standard_normal((2, m - 1))
+        for w in (TridiagonalMatrix(q=q, p=p, r=r), BidiagonalMatrix(q=q, r=r),
+                  DenseMatrix(rng.standard_normal((m, m)))):
+            a = dense_array(w)
+            assert_allclose(norm_inf(w), np.max(np.sum(np.abs(a), axis=1)), rtol=1e-15)
+            assert_allclose(frobenius_norm(w), np.sqrt(np.sum(a * a)), rtol=1e-15)
+
+
 def test_to_dense_round_trip():
     rng = np.random.default_rng(105)
     w = random_tridiagonal(rng, 6)
