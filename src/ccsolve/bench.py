@@ -26,6 +26,7 @@ from .matrices import (
     TridiagonalMatrix,
     dense_array,
     matvec,
+    to_dense,
 )
 from .reduction import is_symmetric, solve_dense
 from .reference import (
@@ -191,10 +192,6 @@ def error_metrics(
     return delta_l, delta_m, delta_r
 
 
-def _dense_of(w: Matrix) -> DenseMatrix:
-    return w if isinstance(w, DenseMatrix) else DenseMatrix(dense_array(w))
-
-
 def _cc_note(solution) -> str:
     labels = sorted({label for label, _ in solution.events})
     return ",".join(labels)
@@ -248,13 +245,13 @@ def _solve_one(
     if solver_id == "GS":
         return solve_gauss(w, y, prec)
     if solver_id == "QR":
-        return solve_qr(_dense_of(w), y, prec)
+        return solve_qr(to_dense(w), y, prec)
     if solver_id == "SVD":
         return solve_svd_truncated(
-            _dense_of(w), y, opts.svd_rtol, prec, emulate_failure=opts.emulate_svd
+            to_dense(w), y, opts.svd_rtol, prec, emulate_failure=opts.emulate_svd
         )
     if solver_id == "TRM":
-        return solve_tikhonov(_dense_of(w), y, opts.trm_delta, prec)
+        return solve_tikhonov(to_dense(w), y, opts.trm_delta, prec)
     raise ValueError(f"unknown solver id {solver_id!r}")
 
 
@@ -293,6 +290,8 @@ def _run_cell(
         outcome = _solve_one(solver_id, solve_system.matrix, solve_system.y, prec, opts)
     except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
         outcome = SolverOutcome(solver_id, None, f"error: {exc}")
+    if not outcome.failed and not np.all(np.isfinite(outcome.x)):
+        outcome = SolverOutcome(solver_id, None, "error: non-finite solution")
     wall = time.perf_counter() - t0 if timing else 0.0
     x_exact = base_system.x_exact
     y = base_system.y

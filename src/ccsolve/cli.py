@@ -23,11 +23,11 @@ from .bidiagonal import pseudo_inverse_bidiagonal, solve_cc_bidiagonal
 from .matrices import (
     BidiagonalMatrix,
     DEFAULT_PRECISION,
-    DenseMatrix,
     TridiagonalMatrix,
     condition_number,
     dense_array,
     matvec,
+    to_dense,
 )
 from .reduction import solve_dense
 from .reference import solve_gauss, solve_qr, solve_svd_truncated, solve_tikhonov
@@ -216,13 +216,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if solver_id == "GS":
             outcome = solve_gauss(w, y, prec)
         elif solver_id == "QR":
-            outcome = solve_qr(_as_dense(w), y, prec)
+            outcome = solve_qr(to_dense(w), y, prec)
         elif solver_id == "SVD":
             outcome = solve_svd_truncated(
-                _as_dense(w), y, opts.svd_rtol, prec, emulate_failure=opts.emulate_svd
+                to_dense(w), y, opts.svd_rtol, prec, emulate_failure=opts.emulate_svd
             )
         else:
-            outcome = solve_tikhonov(_as_dense(w), y, opts.trm_delta, prec)
+            outcome = solve_tikhonov(to_dense(w), y, opts.trm_delta, prec)
         if outcome.failed:
             print(f"{solver_id} failed: {outcome.note}", file=sys.stderr)
             return 3
@@ -250,10 +250,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
         print("\n".join(summary), file=sys.stderr)
     return 0
-
-
-def _as_dense(w) -> DenseMatrix:
-    return w if isinstance(w, DenseMatrix) else DenseMatrix(dense_array(w))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -170,8 +170,9 @@ def dense_array(w) -> np.ndarray:
 
 
 def to_dense(w: Matrix) -> DenseMatrix:
-    """Dense container with the entries of a band container."""
-    return DenseMatrix(dense_array(w))
+    """Dense container with the entries of a band container; a DenseMatrix
+    is returned unchanged."""
+    return w if isinstance(w, DenseMatrix) else DenseMatrix(dense_array(w))
 
 
 def norm_inf(w: Matrix) -> float:

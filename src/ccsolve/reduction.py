@@ -2,16 +2,22 @@
 
 A symmetric matrix is reduced by Householder similarity to tridiagonal form
 C3 = Q^T A Q with rhs Q^T f; a general matrix by two-sided Householder
-reflections to upper-bidiagonal form C2 = P A Q with rhs P f.  The factors
-are accumulated as explicit dense orthogonal matrices, the solution of the
-banded system is mapped back with z = Q x, and the truncation of the
-reduced matrix to its bands is covered by an explicit error budget
-(h2 for the matrix, delta2 for the rhs).
+reflections to upper-bidiagonal form C2 = P A Q with rhs P f.  Each
+reflector updates only the trailing submatrix it changes (a rank-2 update on
+the symmetric route, one-sided updates on the general route; Golub & Van
+Loan, sections 5.1 and 8.3), so a reduction costs O(m^3) flops and one m x m
+working array.  The reflectors are kept, not multiplied out: they are
+applied to the rhs, and the solution of the banded system is mapped back
+with z = Q x in O(m^2).  The dense factors Q and P are formed only when a
+caller asks for them.  The truncation of the reduced matrix to its bands is
+covered by an explicit error budget (h2 for the matrix, delta2 for the rhs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,18 +47,49 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 
 
+# A stored Householder reflector (k, v): H = I - 2 v v^T acting on entries
+# k: of a vector, with v of unit length.
+Reflector = tuple[int, np.ndarray]
+
+
+def _apply_reflectors(
+    reflectors: list[Reflector], x, reverse: bool = False
+) -> np.ndarray:
+    """H_n ... H_2 H_1 x for reflectors [H_1, ..., H_n], or H_1 H_2 ... H_n x
+    with reverse=True; x is a vector or a matrix whose columns are mapped.
+    x is not modified."""
+    out = np.array(x, dtype=float)
+    for k, v in reversed(reflectors) if reverse else reflectors:
+        seg = out[k:]
+        seg -= np.multiply.outer(v, 2.0 * (v @ seg))
+    return out
+
+
 @dataclass
 class ReductionResult:
     """Banded form of a dense system: the band matrix, the transformed
-    right-hand side, the backmap factor Q (z = Q x), the left factor P for
-    the bidiagonal route, and the truncation error budget."""
+    right-hand side, the truncation error budget, and the stored reflectors.
+    ``q_reflectors`` [H_1, ..., H_n] give the backmap factor Q = H_1 ... H_n
+    (z = Q x); ``p_reflectors``, on the bidiagonal route only, give the left
+    factor P = H_n ... H_1.  The dense ``q_factor`` and ``p_factor`` are built
+    from the reflectors on first access and cached."""
 
     form: str
     matrix: TridiagonalMatrix | BidiagonalMatrix
     rhs: np.ndarray
-    q_factor: np.ndarray
-    p_factor: np.ndarray | None
     budget: ErrorBudget
+    q_reflectors: list[Reflector]
+    p_reflectors: list[Reflector] | None = None
+
+    @cached_property
+    def q_factor(self) -> np.ndarray:
+        return _apply_reflectors(self.q_reflectors, np.eye(self.matrix.m), reverse=True)
+
+    @cached_property
+    def p_factor(self) -> np.ndarray | None:
+        if self.p_reflectors is None:
+            return None
+        return _apply_reflectors(self.p_reflectors, np.eye(self.matrix.m))
 
 
 def is_symmetric(a: DenseMatrix) -> bool:
@@ -60,16 +97,18 @@ def is_symmetric(a: DenseMatrix) -> bool:
     return float(np.max(np.abs(a.a - a.a.T))) <= SYMMETRY_RTOL * norm_inf(a)
 
 
-def _reflector(x: np.ndarray) -> np.ndarray | None:
-    """Unit Householder vector annihilating x[1:], or None when x[1:] is
-    already exactly zero (no reflection applied)."""
-    if float(np.linalg.norm(x[1:])) == 0.0:
+def _reflector(x: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Unit Householder vector v and alpha with (I - 2 v v^T) x = alpha e_1,
+    or None when x[1:] is already exactly zero (no reflection applied)."""
+    tail = float(x[1:] @ x[1:])
+    if tail == 0.0:
         return None
-    alpha = -float(np.copysign(np.linalg.norm(x), x[0]))
-    v = x.astype(float).copy()
-    v[0] -= alpha
-    v /= np.linalg.norm(v)
-    return v
+    x0 = float(x[0])
+    alpha = -math.copysign(math.sqrt(x0 * x0 + tail), x0)
+    v = np.array(x, dtype=float)
+    v[0] = x0 - alpha
+    v /= math.sqrt(v[0] * v[0] + tail)
+    return v, alpha
 
 
 def _budget_formula(m, norm_a, norm_f, prec, route) -> ErrorBudget:
@@ -124,16 +163,20 @@ def reduce_symmetric(
     if f.shape != (m,):
         raise ValueError(f"f must have length {m}")
     arr = a.a.copy()
-    q_factor = np.eye(m)
+    reflectors = []
     for k in range(m - 2):
-        tail = _reflector(arr[k + 1 :, k].copy())
-        if tail is None:
+        step = _reflector(arr[k + 1 :, k])
+        if step is None:
             continue
-        v = np.zeros(m)
-        v[k + 1 :] = tail
-        arr -= 2.0 * np.outer(v, v @ arr)
-        arr -= 2.0 * np.outer(arr @ v, v)
-        q_factor -= 2.0 * np.outer(q_factor @ v, v)
+        v, alpha = step
+        arr[k + 1, k] = arr[k, k + 1] = alpha
+        # H A22 H = A22 - v w^T - w v^T with p = A22 v, w = 2p - 2(v^T p) v
+        sub = arr[k + 1 :, k + 1 :]
+        p = sub @ v
+        w = 2.0 * p - (2.0 * float(v @ p)) * v
+        sub -= np.outer(v, w)
+        sub -= np.outer(w, v)
+        reflectors.append((k + 1, v))
     c3 = TridiagonalMatrix(
         np.diag(arr).copy(), np.diag(arr, -1).copy(), np.diag(arr, 1).copy()
     )
@@ -143,10 +186,9 @@ def reduce_symmetric(
     return ReductionResult(
         form="tridiagonal",
         matrix=c3,
-        rhs=q_factor.T @ f,
-        q_factor=q_factor,
-        p_factor=None,
+        rhs=_apply_reflectors(reflectors, f),
         budget=budget,
+        q_reflectors=reflectors,
     )
 
 
@@ -160,23 +202,25 @@ def reduce_general(
     if f.shape != (m,):
         raise ValueError(f"f must have length {m}")
     arr = a.a.copy()
-    p_factor = np.eye(m)
-    q_factor = np.eye(m)
+    left = []
+    right = []
     for k in range(m - 1):
-        tail = _reflector(arr[k:, k].copy())
-        if tail is not None:
-            v = np.zeros(m)
-            v[k:] = tail
-            arr -= 2.0 * np.outer(v, v @ arr)
-            p_factor -= 2.0 * np.outer(v, v @ p_factor)
+        step = _reflector(arr[k:, k])
+        if step is not None:
+            v, alpha = step
+            arr[k, k] = alpha
+            block = arr[k:, k + 1 :]
+            block -= np.outer(v, 2.0 * (v @ block))
+            left.append((k, v))
         if k <= m - 3:
-            tail = _reflector(arr[k, k + 1 :].copy())
-            if tail is None:
+            step = _reflector(arr[k, k + 1 :])
+            if step is None:
                 continue
-            v = np.zeros(m)
-            v[k + 1 :] = tail
-            arr -= 2.0 * np.outer(arr @ v, v)
-            q_factor -= 2.0 * np.outer(q_factor @ v, v)
+            v, alpha = step
+            arr[k, k + 1] = alpha
+            block = arr[k + 1 :, k + 1 :]
+            block -= np.outer(block @ v, 2.0 * v)
+            right.append((k + 1, v))
     c2 = BidiagonalMatrix(np.diag(arr).copy(), np.diag(arr, 1).copy())
     budget = _route_budget(
         m, frobenius_norm(a), float(np.linalg.norm(f)), prec, "bidiagonal"
@@ -184,10 +228,10 @@ def reduce_general(
     return ReductionResult(
         form="bidiagonal",
         matrix=c2,
-        rhs=p_factor @ f,
-        q_factor=q_factor,
-        p_factor=p_factor,
+        rhs=_apply_reflectors(left, f),
         budget=budget,
+        q_reflectors=right,
+        p_reflectors=left,
     )
 
 
@@ -243,5 +287,5 @@ def solve_dense(
         )
     else:
         raise ValueError(f"unknown route {route!r}")
-    z = backmap(reduction.q_factor, inner.x_plus)
+    z = _apply_reflectors(reduction.q_reflectors, inner.x_plus, reverse=True)
     return z, DenseSolveDiagnostics(route=route, reduction=reduction, inner=inner)

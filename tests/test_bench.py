@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ccsolve.bench import (
     CSV_HEADER,
     PROFILES,
+    Profile,
     aggregate,
     emit_report,
     error_metrics,
@@ -81,6 +82,16 @@ def test_smoke_profile_records():
         assert not r.failed
         assert r.delta_m <= 1e-10
         assert r.wall_time_s == 0.0
+
+
+def test_nonfinite_solution_is_a_failed_record():
+    # On system 2 at m=200 elimination and QR overflow to inf; the cell must
+    # record them as failed instead of aborting the suite.
+    records = run_suite(Profile(name="cell-2-200", cells=((2, 200),)), seed=7)
+    by_solver = {r.solver_id: r for r in records}
+    for solver_id in ("GS", "QR"):
+        assert by_solver[solver_id].failed
+        assert by_solver[solver_id].notes == "error: non-finite solution"
 
 
 def test_empty_solver_list_gives_no_records():

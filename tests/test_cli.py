@@ -142,6 +142,12 @@ def test_bench_deterministic_output(tmp_path, capsys):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
+def test_bench_paper_like_profile_completes(capsys):
+    code, out, err = run_cli(capsys, "bench", "--profile", "paper-like")
+    assert code == 0
+    assert out.startswith("solver,regime,family,count")
+
+
 def test_bench_unknown_profile_exits_2(capsys):
     code, out, err = run_cli(capsys, "bench", "--profile", "bogus")
     assert code == 2

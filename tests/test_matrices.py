@@ -123,6 +123,7 @@ def test_to_dense_round_trip():
     d = to_dense(w)
     assert isinstance(d, DenseMatrix)
     assert_array_equal(d.a, dense_array(w))
+    assert to_dense(d) is d
 
 
 def test_dense_array_accepts_plain_square_array():

@@ -1,5 +1,7 @@
 """Tests for the orthogonal reductions to banded form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -8,6 +10,7 @@ from ccsolve.matrices import (
     BidiagonalMatrix,
     DenseMatrix,
     TridiagonalMatrix,
+    condition_number,
     dense_array,
     matvec,
 )
@@ -19,6 +22,8 @@ from ccsolve.reduction import (
     reduction_error_budget,
     solve_dense,
 )
+from ccsolve.systems import classify, generate_system
+from explicit_reduction import explicit_reduce_general, explicit_reduce_symmetric
 
 EPS1 = 2.0 ** -52
 
@@ -178,3 +183,68 @@ def test_solve_dense_route_override():
     assert np.linalg.norm(z - x) / np.linalg.norm(x) <= 1e-10
     with pytest.raises(ValueError):
         solve_dense(a, y, route="sideways")
+
+
+def test_matches_full_update_reference():
+    # Trailing-submatrix updates reorder the rounding of the full-update
+    # loops, so the results agree within m * eps-scaled tolerances.
+    rng = np.random.default_rng(611)
+    for i, m in enumerate(np.linspace(3, 300, 30).astype(int)):
+        arr = rng.standard_normal((m, m))
+        f = rng.standard_normal(m)
+        if i % 2:
+            arr = arr + arr.T
+            new = reduce_symmetric(DenseMatrix(arr), f)
+            ref = explicit_reduce_symmetric(DenseMatrix(arr), f)
+            pairs = [(new.q_factor, ref.q_factor)]
+        else:
+            new = reduce_general(DenseMatrix(arr), f)
+            ref = explicit_reduce_general(DenseMatrix(arr), f)
+            pairs = [(new.q_factor, ref.q_factor), (new.p_factor, ref.p_factor)]
+        scale = m * EPS1
+        assert_allclose(dense_array(new.matrix), dense_array(ref.matrix), rtol=0,
+                        atol=64 * scale * np.linalg.norm(arr))
+        assert_allclose(new.rhs, ref.rhs, rtol=0, atol=256 * scale * np.linalg.norm(f))
+        for got, want in pairs:
+            assert_allclose(got, want, rtol=0, atol=1024 * scale)
+
+
+@pytest.mark.parametrize("m", [50, 150, 250])
+def test_invariants_on_catalogued_dense_systems(m):
+    # Systems 11-20 are rank-deficient or nearly so: where a trailing column
+    # is rounding noise the reference picks a different, equally valid
+    # reflector, so the factors are checked against their defining
+    # properties instead of entry by entry.
+    for sid in range(11, 21):
+        s = generate_system(sid, m)
+        a = s.matrix.a
+        well = classify(condition_number(s.matrix)).label == "well-posed"
+        for route in ("general", "symmetric") if sid >= 16 else ("general",):
+            reduce = reduce_general if route == "general" else reduce_symmetric
+            red = reduce(s.matrix, s.y)
+            q = red.q_factor
+            p = q.T if red.p_factor is None else red.p_factor
+            c = dense_array(red.matrix)
+            assert np.max(np.abs(p @ a @ q - c)) <= m * EPS1 * np.linalg.norm(a)
+            for factor in (p, q):
+                assert np.max(np.abs(factor.T @ factor - np.eye(m))) <= 10 * m * m * EPS1
+            assert abs(np.linalg.norm(c) - np.linalg.norm(a)) <= red.budget.h2
+            if well:
+                z, _ = solve_dense(s.matrix, s.y, route=route)
+                delta_m = np.linalg.norm(z - s.x_exact) / np.linalg.norm(s.x_exact)
+                assert delta_m <= 1e-8, (sid, route, delta_m)
+
+
+@pytest.mark.parametrize("sid,route", [(11, "general"), (16, "general"), (16, "symmetric")])
+def test_solve_dense_memory_peak(sid, route):
+    # One m x m working array plus the stored reflectors and the update
+    # temporaries; explicit Q and P factors would push the peak past 3 m^2.
+    m = 400
+    s = generate_system(sid, m)
+    tracemalloc.start()
+    try:
+        solve_dense(s.matrix, s.y, route=route)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * m * m, peak / (8 * m * m)
