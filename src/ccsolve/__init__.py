@@ -15,12 +15,6 @@ from .bench import (
     parse_report,
     run_suite,
 )
-from .bidiagonal import (
-    CCBidiagonalSolution,
-    pseudo_inverse_bidiagonal,
-    residual_bound_bidiagonal,
-    solve_cc_bidiagonal,
-)
 from .matrices import (
     BidiagonalMatrix,
     DEFAULT_PRECISION,
@@ -35,17 +29,7 @@ from .matrices import (
     norm_inf,
     to_dense,
 )
-from .minors import (
-    BlockInverse,
-    RegularizedBlocks,
-    StructureElements,
-    block_inverse,
-    coupled_diagonal,
-    g_sequence,
-    lambda_sequence,
-    regularized_blocks,
-    structure_elements,
-)
+from .minors import g_sequence, lambda_sequence
 from .reduction import (
     DenseSolveDiagnostics,
     ReductionResult,
@@ -87,10 +71,11 @@ from .tridiagonal import (
     ResidualBound,
     SolveFlags,
     probe_discrepancy,
+    pseudo_inverse_bidiagonal,
     pseudo_inverse_tridiagonal,
     residual_bound,
     rounding_budget,
-    separation_probe,
+    solve_cc_bidiagonal,
     solve_cc_tridiagonal,
 )
 

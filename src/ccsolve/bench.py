@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bidiagonal import solve_cc_bidiagonal
 from .matrices import (
     BidiagonalMatrix,
     DEFAULT_PRECISION,
@@ -38,7 +37,7 @@ from .reference import (
 )
 from .systems import TestSystem, classify, generate_system, perturb_solution
 from .textio import format_number
-from .tridiagonal import solve_cc_tridiagonal
+from .tridiagonal import CCSolution, solve_cc_tridiagonal
 
 __all__ = [
     "AggregateRow",
@@ -203,56 +202,41 @@ def mcs_applicable(w: Matrix) -> bool:
 
 def _solve_one(
     solver_id: str, w: Matrix, y, prec: Precision, opts: SolverOptions
-) -> SolverOutcome:
-    if solver_id == "MCC":
-        if isinstance(w, TridiagonalMatrix):
-            sol = solve_cc_tridiagonal(
-                w,
-                y,
-                prec,
-                phi_threshold=opts.phi_threshold,
-                growth_threshold=opts.growth_threshold,
-            )
-            return SolverOutcome("MCC", sol.x_plus, _cc_note(sol))
-        if isinstance(w, BidiagonalMatrix):
-            sol = solve_cc_bidiagonal(
-                w,
-                y,
-                prec,
-                phi_threshold=opts.phi_threshold,
-                growth_threshold=opts.growth_threshold,
-            )
-            return SolverOutcome("MCC", sol.x_plus, _cc_note(sol))
-        z, diag = solve_dense(
-            w,
-            y,
-            prec,
-            route="general",
-            phi_threshold=opts.phi_threshold,
-            growth_threshold=opts.growth_threshold,
-        )
-        return SolverOutcome("MCC", z, _cc_note(diag.inner))
-    if solver_id == "MCS":
-        z, diag = solve_dense(
-            w,
-            y,
-            prec,
-            route="symmetric",
-            phi_threshold=opts.phi_threshold,
-            growth_threshold=opts.growth_threshold,
-        )
-        return SolverOutcome("MCS", z, _cc_note(diag.inner))
-    if solver_id == "GS":
-        return solve_gauss(w, y, prec)
-    if solver_id == "QR":
-        return solve_qr(to_dense(w), y, prec)
-    if solver_id == "SVD":
-        return solve_svd_truncated(
+) -> tuple[SolverOutcome, CCSolution | None]:
+    """Run one solver by id: the one dispatch behind the bench and the CLI.
+
+    Returns the outcome and, for MCC and MCS, the inner banded solution
+    (None for the reference solvers).  A non-finite x becomes a failed
+    outcome with the note "error: non-finite solution"; exceptions from the
+    solvers propagate to the caller.
+    """
+    inner = None
+    thresholds = dict(
+        phi_threshold=opts.phi_threshold, growth_threshold=opts.growth_threshold
+    )
+    if solver_id == "MCC" and isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
+        inner = solve_cc_tridiagonal(w, y, prec, **thresholds)
+        outcome = SolverOutcome(solver_id, inner.x_plus, _cc_note(inner))
+    elif solver_id in ("MCC", "MCS"):
+        route = "general" if solver_id == "MCC" else "symmetric"
+        x, diag = solve_dense(w, y, prec, route=route, **thresholds)
+        inner = diag.inner
+        outcome = SolverOutcome(solver_id, x, _cc_note(inner))
+    elif solver_id == "GS":
+        outcome = solve_gauss(w, y, prec)
+    elif solver_id == "QR":
+        outcome = solve_qr(to_dense(w), y, prec)
+    elif solver_id == "SVD":
+        outcome = solve_svd_truncated(
             to_dense(w), y, opts.svd_rtol, prec, emulate_failure=opts.emulate_svd
         )
-    if solver_id == "TRM":
-        return solve_tikhonov(to_dense(w), y, opts.trm_delta, prec)
-    raise ValueError(f"unknown solver id {solver_id!r}")
+    elif solver_id == "TRM":
+        outcome = solve_tikhonov(to_dense(w), y, opts.trm_delta, prec)
+    else:
+        raise ValueError(f"unknown solver id {solver_id!r}")
+    if not outcome.failed and not np.all(np.isfinite(outcome.x)):
+        outcome = SolverOutcome(solver_id, None, "error: non-finite solution")
+    return outcome, inner
 
 
 @dataclass(frozen=True)
@@ -287,11 +271,11 @@ def _run_cell(
         return None
     t0 = time.perf_counter()
     try:
-        outcome = _solve_one(solver_id, solve_system.matrix, solve_system.y, prec, opts)
+        outcome, _ = _solve_one(
+            solver_id, solve_system.matrix, solve_system.y, prec, opts
+        )
     except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
         outcome = SolverOutcome(solver_id, None, f"error: {exc}")
-    if not outcome.failed and not np.all(np.isfinite(outcome.x)):
-        outcome = SolverOutcome(solver_id, None, "error: non-finite solution")
     wall = time.perf_counter() - t0 if timing else 0.0
     x_exact = base_system.x_exact
     y = base_system.y

@@ -14,23 +14,19 @@ import numpy as np
 from .bench import (
     PROFILES,
     SolverOptions,
+    _solve_one,
     aggregate,
     emit_report,
     mcs_applicable,
     run_suite,
 )
-from .bidiagonal import pseudo_inverse_bidiagonal, solve_cc_bidiagonal
 from .matrices import (
-    BidiagonalMatrix,
     DEFAULT_PRECISION,
-    TridiagonalMatrix,
+    DenseMatrix,
     condition_number,
     dense_array,
     matvec,
-    to_dense,
 )
-from .reduction import solve_dense
-from .reference import solve_gauss, solve_qr, solve_svd_truncated, solve_tikhonov
 from .systems import classify, generate_system
 from .textio import (
     ParseError,
@@ -41,11 +37,17 @@ from .textio import (
     write_matrix,
     write_vector,
 )
-from .tridiagonal import pseudo_inverse_tridiagonal, solve_cc_tridiagonal
+from .tridiagonal import pseudo_inverse_tridiagonal
 
 __all__ = ["main"]
 
 _SOLVER_CHOICES = ("mcc", "mcs", "gs", "qr", "svd", "trm")
+
+# summary line of the reduction a dense system goes through, per solver id
+_DENSE_ROUTES = {
+    "MCC": "route: general (bidiagonal reduction)",
+    "MCS": "route: symmetric (tridiagonal reduction)",
+}
 
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
@@ -161,81 +163,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         return 2
     solver_id = args.solver.upper()
-    opts = _opts_from(args)
+    if solver_id == "MCS" and not mcs_applicable(w):
+        print("error: solver mcs requires a dense symmetric matrix", file=sys.stderr)
+        return 2
+    outcome, inner = _solve_one(solver_id, w, y, prec, _opts_from(args))
+    if outcome.failed:
+        print(f"{solver_id} failed: {outcome.note}", file=sys.stderr)
+        return 3
+    x = outcome.x
     summary = [f"solver: {solver_id}", f"m: {w.m}"]
-    x = None
-    inner = None
-    if solver_id == "MCC":
-        if isinstance(w, TridiagonalMatrix):
-            inner = solve_cc_tridiagonal(
-                w,
-                y,
-                prec,
-                phi_threshold=opts.phi_threshold,
-                growth_threshold=opts.growth_threshold,
-            )
-            x = inner.x_plus
-        elif isinstance(w, BidiagonalMatrix):
-            inner = solve_cc_bidiagonal(
-                w,
-                y,
-                prec,
-                phi_threshold=opts.phi_threshold,
-                growth_threshold=opts.growth_threshold,
-            )
-            x = inner.x_plus
-        else:
-            x, diag = solve_dense(
-                w,
-                y,
-                prec,
-                route="general",
-                phi_threshold=opts.phi_threshold,
-                growth_threshold=opts.growth_threshold,
-            )
-            inner = diag.inner
-            summary.append("route: general (bidiagonal reduction)")
-    elif solver_id == "MCS":
-        if not mcs_applicable(w):
-            print(
-                "error: solver mcs requires a dense symmetric matrix",
-                file=sys.stderr,
-            )
-            return 2
-        x, diag = solve_dense(
-            w,
-            y,
-            prec,
-            route="symmetric",
-            phi_threshold=opts.phi_threshold,
-            growth_threshold=opts.growth_threshold,
-        )
-        inner = diag.inner
-        summary.append("route: symmetric (tridiagonal reduction)")
-    else:
-        if solver_id == "GS":
-            outcome = solve_gauss(w, y, prec)
-        elif solver_id == "QR":
-            outcome = solve_qr(to_dense(w), y, prec)
-        elif solver_id == "SVD":
-            outcome = solve_svd_truncated(
-                to_dense(w), y, opts.svd_rtol, prec, emulate_failure=opts.emulate_svd
-            )
-        else:
-            outcome = solve_tikhonov(to_dense(w), y, opts.trm_delta, prec)
-        if outcome.failed:
-            print(f"{solver_id} failed: {outcome.note}", file=sys.stderr)
-            return 3
-        x = outcome.x
+    if inner is None:
         if outcome.note:
             summary.append(f"note: {outcome.note}")
-    if inner is not None:
+    else:
+        if isinstance(w, DenseMatrix):
+            summary.append(_DENSE_ROUTES[solver_id])
         bottoms = " ".join(str(b) for b in inner.partition.boundaries)
         summary.append(f"partition: {bottoms}")
         summary.append(f"residual_bound: {inner.bound.bound_value:.6e}")
         if inner.events:
-            labels = ",".join(sorted({label for label, _ in inner.events}))
-            summary.append(f"events: {labels}")
+            # the note of an MCC or MCS outcome is its sorted event labels
+            summary.append(f"events: {outcome.note}")
     residual = float(np.max(np.abs(matvec(w, x) - y)))
     summary.append(f"residual_inf: {residual:.6e}")
     mu = condition_number(dense_array(w), prec)
@@ -289,24 +237,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_pinv(args: argparse.Namespace) -> int:
     prec = DEFAULT_PRECISION
     w = read_matrix(args.matrix)
-    opts = _opts_from(args)
-    if isinstance(w, TridiagonalMatrix):
-        pinv = pseudo_inverse_tridiagonal(
-            w,
-            prec,
-            phi_threshold=opts.phi_threshold,
-            growth_threshold=opts.growth_threshold,
-        )
-    elif isinstance(w, BidiagonalMatrix):
-        pinv = pseudo_inverse_bidiagonal(
-            w,
-            prec,
-            phi_threshold=opts.phi_threshold,
-            growth_threshold=opts.growth_threshold,
-        )
-    else:
+    if isinstance(w, DenseMatrix):
         print("error: pinv expects a banded (tridiagonal or bidiagonal) matrix", file=sys.stderr)
         return 2
+    pinv = pseudo_inverse_tridiagonal(
+        w, prec, phi_threshold=args.phi_threshold, growth_threshold=args.growth_threshold
+    )
     text = matrix_to_text(pinv)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -3,7 +3,8 @@
 These are the building blocks of the block-separation solver: the leading
 minor-ratio sequence Lambda, the per-block trailing minor-ratio sequence G,
 the structure elements beta/beta_hat/omega, and the explicit rows of each
-block inverse.  Everything here works on 1-based padded band arrays
+block inverse (:func:`inverse_row`, the oracle the solver's O(m) sweep is
+tested against).  Everything here works on 1-based padded band arrays
 (qq[i] = q_i and so on) produced by :func:`padded_bands`; NaN marks an
 undefined sequence entry (the entry immediately after an exact zero).
 
@@ -13,8 +14,6 @@ separation probes, not of this module.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,15 +25,8 @@ from .matrices import (
 )
 
 __all__ = [
-    "BlockInverse",
-    "RegularizedBlocks",
-    "StructureElements",
-    "block_inverse",
-    "coupled_diagonal",
     "g_sequence",
     "lambda_sequence",
-    "regularized_blocks",
-    "structure_elements",
 ]
 
 
@@ -221,155 +213,3 @@ def inverse_row(i, bottom, qq, pp, rr, lam, g, scale, eps1, events) -> np.ndarra
             if run == 0.0:
                 break
     return row
-
-
-@dataclass
-class StructureElements:
-    """Structure elements of one block: beta/beta_hat/omega and the diagonal
-    entries, as padded arrays indexed by paper row/column index."""
-
-    block_top: int
-    block_bottom: int
-    beta: np.ndarray
-    beta_hat: np.ndarray
-    omega: np.ndarray
-    diag: np.ndarray
-
-
-def structure_elements(
-    c3,
-    lam: np.ndarray,
-    g: dict[int, float],
-    block_top: int,
-    block_bottom: int,
-    prec: Precision = DEFAULT_PRECISION,
-) -> StructureElements:
-    """Structure elements for the block rows block_top..block_bottom.
-
-    beta[xi] is defined for xi = 2..block_bottom (it reaches left across
-    earlier blocks), beta_hat[xi] and omega/diag for the block rows.
-    """
-    m, qq, pp, rr = padded_bands(c3)
-    scale = band_scale(c3)
-    events: list = []
-    beta = np.full(m + 2, np.nan)
-    beta_hat = np.full(m + 2, np.nan)
-    omega = np.full(m + 2, np.nan)
-    diag = np.full(m + 2, np.nan)
-    for xi in range(2, block_bottom + 1):
-        beta[xi] = _beta(xi, qq, pp, rr, lam, scale, prec.eps1, events)
-    for xi in range(block_top, block_bottom + 1):
-        beta_hat[xi] = _beta_hat(xi, qq, pp, rr, g, scale, prec.eps1, events)
-    for i in range(block_top, block_bottom + 1):
-        diag[i], omega[i] = _diag_and_omega(
-            i, qq, pp, rr, lam, g, scale, prec.eps1, events
-        )
-    return StructureElements(block_top, block_bottom, beta, beta_hat, omega, diag)
-
-
-@dataclass
-class BlockInverse:
-    """Inverse rows of one block: rows block_top..block_bottom over columns
-    1..block_bottom, stored densely, with the largest magnitude seen."""
-
-    block_top: int
-    block_bottom: int
-    values: np.ndarray
-    max_abs: float
-    events: list = field(default_factory=list)
-
-    def row(self, i: int) -> np.ndarray:
-        """Row i as a plain array over columns 1..block_bottom."""
-        return self.values[i - self.block_top]
-
-
-def block_inverse(
-    c3,
-    block_top: int,
-    block_bottom: int,
-    lam: np.ndarray | None = None,
-    prec: Precision = DEFAULT_PRECISION,
-) -> BlockInverse:
-    """All inverse rows of the block rows block_top..block_bottom.
-
-    lam defaults to the global lambda_sequence of c3; passing it in lets
-    callers share one sequence across blocks.
-    """
-    m, qq, pp, rr = padded_bands(c3)
-    if not 1 <= block_top <= block_bottom <= m:
-        raise ValueError("block bounds must satisfy 1 <= top <= bottom <= m")
-    if lam is None:
-        lam = lambda_sequence(c3)
-    g = g_sequence(c3, block_top, block_bottom)
-    scale = band_scale(c3)
-    events: list = []
-    rows = np.zeros((block_bottom - block_top + 1, block_bottom))
-    for i in range(block_top, block_bottom + 1):
-        padded = inverse_row(
-            i, block_bottom, qq, pp, rr, lam, g, scale, prec.eps1, events
-        )
-        rows[i - block_top] = padded[1:]
-    if not np.all(np.isfinite(rows)):
-        raise FloatingPointError(
-            "non-finite block-inverse element; the block must be re-partitioned"
-        )
-    max_abs = float(np.max(np.abs(rows))) if rows.size else 0.0
-    return BlockInverse(block_top, block_bottom, rows, max_abs, events)
-
-
-def coupled_diagonal(q_next: float, p_next: float, r_next: float, last_diag: float) -> float:
-    """Replacement diagonal entry for the first row of a block, folding in
-    the inverse last diagonal of the block above: q - p*last_diag*r."""
-    return q_next - p_next * last_diag * r_next
-
-
-@dataclass
-class RegularizedBlocks:
-    """A full partition with its per-block inverses and the explicit coupled
-    diagonals (one per block boundary, keyed by the row they replace)."""
-
-    boundaries: tuple[int, ...]
-    coupled: dict[int, float]
-    blocks: list[BlockInverse]
-
-    @property
-    def n(self) -> int:
-        return len(self.boundaries)
-
-    @property
-    def max_abs(self) -> float:
-        return max((b.max_abs for b in self.blocks), default=0.0)
-
-
-def regularized_blocks(
-    c3, boundaries, prec: Precision = DEFAULT_PRECISION
-) -> RegularizedBlocks:
-    """Block inverses and coupled diagonals for a given partition.
-
-    boundaries is the decreasing sequence l_1 = m > l_2 > ... > l_n >= 1;
-    block k spans rows l_{k+1}+1..l_k.  Blocks are built topmost first so
-    each coupled diagonal can be reported from the block above, and are
-    returned in partition order (bottom block first).
-    """
-    m, qq, pp, rr = padded_bands(c3)
-    bounds = tuple(int(b) for b in boundaries)
-    if not bounds or bounds[0] != m or bounds[-1] < 1:
-        raise ValueError("boundaries must run from m down to at least 1")
-    if any(a <= b for a, b in zip(bounds, bounds[1:])):
-        raise ValueError("boundaries must be strictly decreasing")
-    lam = lambda_sequence(c3)
-    n = len(bounds)
-    spans = []
-    for k in range(n):
-        bottom = bounds[k]
-        top = (bounds[k + 1] + 1) if k + 1 < n else 1
-        spans.append((top, bottom))
-    blocks = [block_inverse(c3, top, bottom, lam, prec) for top, bottom in spans]
-    # coupled diagonals: block k's first row folds in block k+1's last diagonal
-    coupled: dict[int, float] = {}
-    for k in range(n - 1):
-        top, _ = spans[k]
-        below_bottom = bounds[k + 1]
-        last_diag = blocks[k + 1].row(below_bottom)[below_bottom - 1]
-        coupled[top] = coupled_diagonal(qq[top], pp[top], rr[top], last_diag)
-    return RegularizedBlocks(bounds, coupled, blocks)

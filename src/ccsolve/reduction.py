@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bidiagonal import CCBidiagonalSolution, solve_cc_bidiagonal
 from .matrices import (
     BidiagonalMatrix,
     DEFAULT_PRECISION,
@@ -247,7 +246,7 @@ class DenseSolveDiagnostics:
 
     route: str
     reduction: ReductionResult
-    inner: CCSolution | CCBidiagonalSolution
+    inner: CCSolution
 
 
 def solve_dense(
@@ -269,23 +268,16 @@ def solve_dense(
         route = "symmetric" if is_symmetric(a) else "general"
     if route == "symmetric":
         reduction = reduce_symmetric(a, f, prec)
-        inner = solve_cc_tridiagonal(
-            reduction.matrix,
-            reduction.rhs,
-            prec,
-            phi_threshold=phi_threshold,
-            growth_threshold=growth_threshold,
-        )
     elif route == "general":
         reduction = reduce_general(a, f, prec)
-        inner = solve_cc_bidiagonal(
-            reduction.matrix,
-            reduction.rhs,
-            prec,
-            phi_threshold=phi_threshold,
-            growth_threshold=growth_threshold,
-        )
     else:
         raise ValueError(f"unknown route {route!r}")
+    inner = solve_cc_tridiagonal(
+        reduction.matrix,
+        reduction.rhs,
+        prec,
+        phi_threshold=phi_threshold,
+        growth_threshold=growth_threshold,
+    )
     z = _apply_reflectors(reduction.q_reflectors, inner.x_plus, reverse=True)
     return z, DenseSolveDiagnostics(route=route, reduction=reduction, inner=inner)

@@ -1,4 +1,4 @@
-"""Block-separation direct solver for tridiagonal systems.
+"""Block-separation direct solver for tridiagonal and upper-bidiagonal systems.
 
 The solver walks the rows bottom-up, keeping a current block.  Row i of the
 block inverse is never formed: its product with y, its entry in the block's
@@ -17,6 +17,12 @@ super-diagonal couplings removed between blocks.  Structurally singular rows
 replacing exactly-zero denominators with a scaled epsilon, and - when a
 degenerate block bottom cannot satisfy its own equation - by re-deriving
 that row with the upstream coupling severed.
+
+An upper-bidiagonal matrix is the p = 0 case and runs through the same
+sweep: the left structure elements vanish, every block inverse is upper
+triangular, and for a nonsingular well-posed matrix the solve reduces to
+back substitution.  Only the residual bound changes: its band factor is
+tau_hat = max|r_i| and its partition factor gamma_hat = sqrt(m/2).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import (
+    BidiagonalMatrix,
     DEFAULT_PRECISION,
     DenseMatrix,
     Precision,
@@ -51,12 +58,12 @@ __all__ = [
     "ErrorBudget",
     "ResidualBound",
     "SolveFlags",
-    "perturb_singular_zero",
     "probe_discrepancy",
+    "pseudo_inverse_bidiagonal",
     "pseudo_inverse_tridiagonal",
     "residual_bound",
     "rounding_budget",
-    "separation_probe",
+    "solve_cc_bidiagonal",
     "solve_cc_tridiagonal",
 ]
 
@@ -159,43 +166,12 @@ class CCSolution:
     events: list = field(default_factory=list)
 
 
-def perturb_singular_zero(
-    value: float, scale: float, prec: Precision = DEFAULT_PRECISION
-) -> float:
-    """Replacement for a structurally zero quantity: eps1*max(1, scale).
-    Nonzero values pass through unchanged."""
-    if value != 0.0:
-        return value
-    return perturbation_magnitude(scale, prec)
-
-
 def probe_discrepancy(y_j: float, row_value: float) -> float:
     """Normalized discrepancy of one row: |y_j| - |row_value| when
     |y_j| <= 1, else 1 - |row_value|/|y_j|."""
     if abs(y_j) <= 1.0:
         return abs(y_j) - abs(row_value)
     return 1.0 - abs(row_value) / abs(y_j)
-
-
-def separation_probe(
-    c3: TridiagonalMatrix,
-    y,
-    x_candidate,
-    j: int,
-    prec: Precision = DEFAULT_PRECISION,
-) -> float:
-    """Discrepancy of row j under a candidate solution.
-
-    x_candidate is a full-length array whose entries outside the current
-    block are zero (components not yet resolved do not contribute).
-    """
-    m, qq, pp, rr = padded_bands(c3)
-    if not 1 <= j <= m:
-        raise ValueError(f"probe row must be in 1..{m}, got {j}")
-    xv = np.zeros(m + 2)
-    xv[1 : m + 1] = np.asarray(x_candidate, dtype=float)
-    row_value = pp[j] * xv[j - 1] + qq[j] * xv[j] + rr[j + 1] * xv[j + 1]
-    return probe_discrepancy(float(y[j - 1]), float(row_value))
 
 
 def rounding_budget(w, y, prec: Precision = DEFAULT_PRECISION) -> ErrorBudget:
@@ -217,23 +193,34 @@ def _band_tau(w) -> float:
 
 
 def _build_bound(w, partition, rho, max_y, x_plus, budget, prec) -> ResidualBound:
+    """eps1*tau*rho*gamma*max_y + delta, delta = h*max|x_plus| + budget.delta.
+
+    For a tridiagonal w, tau = max(|p_i|, |r_i|) and gamma is the partition
+    factor of :meth:`BlockPartition.gamma`.  For an upper-bidiagonal w,
+    tau_hat = max|r_i| and gamma_hat = sqrt((1/2)*sum_k (l_k - l_{k+1})),
+    a sum that telescopes to the order m, so gamma_hat = sqrt(m/2).
+    """
     tau = _band_tau(w)
-    gamma = partition.gamma()
+    if isinstance(w, BidiagonalMatrix):
+        gamma = float(np.sqrt(0.5 * partition.m))
+    else:
+        gamma = partition.gamma()
     delta = budget.h * float(np.max(np.abs(x_plus))) + budget.delta
     value = prec.eps1 * tau * rho * gamma * max_y + delta
     return ResidualBound(tau, rho, gamma, max_y, delta, value)
 
 
 def residual_bound(
-    c3,
+    w: TridiagonalMatrix | BidiagonalMatrix,
     solution: CCSolution,
     budget: ErrorBudget,
     prec: Precision = DEFAULT_PRECISION,
 ) -> ResidualBound:
     """Residual bound of a computed solution under a caller-supplied data
-    perturbation budget (delta term = budget.h*max|x_plus| + budget.delta)."""
+    perturbation budget (delta term = budget.h*max|x_plus| + budget.delta);
+    the band and partition factors follow the matrix type (_build_bound)."""
     return _build_bound(
-        c3,
+        w,
         solution.partition,
         solution.rho,
         solution.bound.max_y,
@@ -296,7 +283,9 @@ class _RowSweep:
     give the largest entry magnitude, from which the solver takes rho.
     """
 
-    def __init__(self, c3: TridiagonalMatrix, y: np.ndarray, prec: Precision):
+    def __init__(
+        self, c3: TridiagonalMatrix | BidiagonalMatrix, y: np.ndarray, prec: Precision
+    ):
         m, qq, pp, rr = padded_bands(c3)
         qq, pp, rr = qq.tolist(), pp.tolist(), rr.tolist()
         lam = lambda_sequence(c3).tolist()
@@ -395,7 +384,7 @@ class _RowSweep:
 
 
 def solve_cc_tridiagonal(
-    c3: TridiagonalMatrix,
+    c3: TridiagonalMatrix | BidiagonalMatrix,
     y,
     prec: Precision = DEFAULT_PRECISION,
     *,
@@ -403,6 +392,9 @@ def solve_cc_tridiagonal(
     growth_threshold: float | None = None,
 ) -> CCSolution:
     """Solve C3 x = y bottom-up with block separation in O(m) time and memory.
+
+    C3 is tridiagonal or upper bidiagonal (the p = 0 case); the type only
+    selects the band and partition factors of the residual bound.
 
     Each row's block-inverse product with y, its column-l_k entry and its
     largest entry come from the O(1)-per-row chains of :class:`_RowSweep`;
@@ -551,14 +543,15 @@ def solve_cc_tridiagonal(
 
 
 def pseudo_inverse_tridiagonal(
-    c3: TridiagonalMatrix,
+    c3: TridiagonalMatrix | BidiagonalMatrix,
     prec: Precision = DEFAULT_PRECISION,
     *,
     phi_threshold: float | None = None,
     growth_threshold: float | None = None,
 ) -> DenseMatrix:
     """Pseudo-inverse assembled column by column: column j solves C3 x = e_j.
-    Equals the inverse for nonsingular well-posed input."""
+    Equals the inverse for nonsingular well-posed input (upper triangular
+    for a bidiagonal one)."""
     m = c3.m
     result = np.zeros((m, m))
     for j in range(m):
@@ -573,3 +566,9 @@ def pseudo_inverse_tridiagonal(
         )
         result[:, j] = solution.x_plus
     return DenseMatrix(result)
+
+
+# Bidiagonal names for the same functions, which dispatch on the matrix type;
+# kept because callers use them (the benchmark in perfbench/ calls both).
+solve_cc_bidiagonal = solve_cc_tridiagonal
+pseudo_inverse_bidiagonal = pseudo_inverse_tridiagonal

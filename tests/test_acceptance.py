@@ -23,7 +23,7 @@ from ccsolve.minors import g_sequence, lambda_sequence
 from ccsolve.reduction import reduce_general, reduce_symmetric, solve_dense
 from ccsolve.systems import generate_system
 from ccsolve.tridiagonal import pseudo_inverse_tridiagonal, solve_cc_tridiagonal
-from ccsolve.bidiagonal import solve_cc_bidiagonal
+from ccsolve.tridiagonal import solve_cc_bidiagonal
 
 EPS1 = 2.0 ** -52
 WELL_POSED_LIMIT = 1.0 / np.sqrt(EPS1)

@@ -1,17 +1,18 @@
-"""Tests for the upper-bidiagonal direct solver."""
+"""Tests for the solver on upper-bidiagonal input (the p = 0 case)."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ccsolve.bidiagonal import (
-    pseudo_inverse_bidiagonal,
-    residual_bound_bidiagonal,
-    solve_cc_bidiagonal,
-)
-from ccsolve.matrices import BidiagonalMatrix, dense_array, matvec
+from ccsolve.matrices import BidiagonalMatrix, TridiagonalMatrix, dense_array, matvec
 from ccsolve.systems import generate_system
-from ccsolve.tridiagonal import rounding_budget
+from ccsolve.tridiagonal import (
+    pseudo_inverse_bidiagonal,
+    residual_bound,
+    rounding_budget,
+    solve_cc_bidiagonal,
+    solve_cc_tridiagonal,
+)
 
 EPS1 = 2.0 ** -52
 
@@ -99,7 +100,7 @@ def test_residual_bound_formula_and_coverage():
         y = matvec(w, x)
         sol = solve_cc_bidiagonal(w, y)
         budget = rounding_budget(w, y)
-        bound = residual_bound_bidiagonal(w, sol, budget)
+        bound = residual_bound(w, sol, budget)
         assert_allclose(bound.tau, np.max(np.abs(w.r)), rtol=1e-15)
         want = EPS1 * bound.tau * bound.rho * bound.gamma * bound.max_y + bound.delta
         assert_allclose(bound.bound_value, want, rtol=1e-15)
@@ -137,3 +138,61 @@ def test_input_validation():
     w = BidiagonalMatrix(q=np.ones(3), r=np.zeros(2))
     with pytest.raises(ValueError):
         solve_cc_bidiagonal(w, np.ones(2))
+
+
+def assert_same_solve(bi, tri):
+    """Bit-identical solves of a bidiagonal matrix and of its tridiagonal
+    embedding, apart from the partition factor of the bound."""
+    assert_array_equal(bi.x_plus, tri.x_plus)
+    assert_array_equal(bi.x_regular, tri.x_regular)
+    assert_array_equal(bi.phi, tri.phi)
+    assert bi.partition == tri.partition
+    assert bi.events == tri.events
+    assert bi.flags == tri.flags
+    assert bi.rho == tri.rho
+    for name in ("tau", "rho", "delta", "max_y"):
+        assert getattr(bi.bound, name) == getattr(tri.bound, name), name
+    assert bi.bound.gamma == np.sqrt(bi.partition.m / 2.0)
+    assert tri.bound.gamma == tri.partition.gamma()
+
+
+def embedding(w):
+    return TridiagonalMatrix(q=w.q, p=np.zeros(w.m - 1), r=w.r)
+
+
+@pytest.mark.parametrize("m", [3, 5, 10, 50, 200, 260])
+def test_matches_tridiagonal_embedding_on_catalogued_systems(m):
+    max_blocks = 0
+    for system_id in range(1, 6):
+        s = generate_system(system_id, m)
+        bi = solve_cc_tridiagonal(s.matrix, s.y)
+        assert_same_solve(bi, solve_cc_tridiagonal(embedding(s.matrix), s.y))
+        max_blocks = max(max_blocks, bi.partition.n)
+    if m >= 50:
+        # system 2 splits into many blocks here, so gamma_hat is checked
+        # on multi-block partitions, not only on single blocks
+        assert max_blocks > 1
+
+
+def test_matches_tridiagonal_embedding_on_degenerate_random_input():
+    rng = np.random.default_rng(506)
+    multi_block = 0
+    for _ in range(600):
+        m = int(rng.integers(2, 60))
+        q = rng.standard_normal(m)
+        q[rng.random(m) < 0.1] = 0.0
+        w = BidiagonalMatrix(q=q, r=rng.standard_normal(m - 1))
+        y = rng.standard_normal(m)
+        bi = solve_cc_tridiagonal(w, y)
+        assert_same_solve(bi, solve_cc_tridiagonal(embedding(w), y))
+        multi_block += bi.partition.n > 1
+    assert multi_block >= 50
+
+
+def test_bidiagonal_name_keeps_the_subdiagonal():
+    w = TridiagonalMatrix(q=np.full(3, 4.0), p=np.ones(2), r=np.ones(2))
+    y = np.array([1.0, 2.0, 3.0])
+    want = solve_cc_tridiagonal(w, y)
+    got = solve_cc_bidiagonal(w, y)
+    assert_array_equal(got.x_plus, want.x_plus)
+    assert got.bound == want.bound

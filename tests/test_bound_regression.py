@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ccsolve.bidiagonal import solve_cc_bidiagonal
+from ccsolve.tridiagonal import solve_cc_bidiagonal
 from ccsolve.matrices import matvec
 from ccsolve.systems import generate_system
 from ccsolve.tridiagonal import solve_cc_tridiagonal

@@ -100,6 +100,19 @@ def test_solve_reference_failure_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("solver", ["gs", "qr"])
+def test_solve_nonfinite_solution_exits_3(tmp_path, capsys, solver):
+    # GS and QR overflow to inf on system 2 at order 200; the CLI reports it
+    # as a solver failure with the note the bench records for such a cell.
+    prefix = tmp_path / "case"
+    assert main(["gen", "2", "200", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
+                             "--rhs", f"{prefix}.rhs", "--solver", solver)
+    assert code == 3
+    assert f"{solver.upper()} failed: error: non-finite solution" in err
+
+
 def test_pinv_banded(tmp_path, capsys):
     prefix = tmp_path / "case"
     assert main(["gen", "10", "3", "--out", str(prefix)]) == 0

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ccsolve.matrices import TridiagonalMatrix, dense_array, norm_inf
+from ccsolve.matrices import DEFAULT_PRECISION, TridiagonalMatrix, dense_array, norm_inf
 from ccsolve.minors import (
-    block_inverse,
-    coupled_diagonal,
+    band_scale,
     fresh_block_g,
     g_sequence,
+    inverse_row,
     lambda_sequence,
-    regularized_blocks,
+    padded_bands,
 )
 
 EPS1 = 2.0 ** -52
@@ -23,6 +23,20 @@ def random_dominant(rng, m):
     q = rng.standard_normal(m)
     q += np.sign(q) * (np.abs(p).max() + np.abs(r).max() + 1.0)
     return TridiagonalMatrix(q=q, p=p, r=r)
+
+
+def block_inverse_rows(w, top, bottom):
+    """Rows top..bottom of the block inverse over columns 1..bottom, built
+    from inverse_row with the global lambda and the block's G sequence."""
+    _, qq, pp, rr = padded_bands(w)
+    lam = lambda_sequence(w)
+    g = g_sequence(w, top, bottom)
+    scale = band_scale(w)
+    rows = [
+        inverse_row(i, bottom, qq, pp, rr, lam, g, scale, DEFAULT_PRECISION.eps1, [])
+        for i in range(top, bottom + 1)
+    ]
+    return np.array([row[1:] for row in rows])
 
 
 def brute_leading_ratios(a):
@@ -84,19 +98,15 @@ def test_fresh_block_g_base_entries():
     assert g[4] == 7.0
 
 
-def test_coupled_diagonal_value():
-    assert coupled_diagonal(2.0, 1.0, 1.0, 0.5) == 1.5
-
-
 def test_single_block_inverse_matches_numpy():
     rng = np.random.default_rng(301)
     for _ in range(60):
         m = int(rng.integers(2, 21))
         w = random_dominant(rng, m)
         a = dense_array(w)
-        binv = block_inverse(w, 1, m)
-        rho = binv.max_abs
-        err = np.max(np.abs(a @ binv.values - np.eye(m)))
+        binv = block_inverse_rows(w, 1, m)
+        rho = np.max(np.abs(binv))
+        err = np.max(np.abs(a @ binv - np.eye(m)))
         assert err <= m * 1e-10 * max(1.0, norm_inf(w) * rho)
 
 
@@ -104,10 +114,10 @@ def test_block_inverse_row_solves_unit_systems():
     rng = np.random.default_rng(302)
     w = random_dominant(rng, 8)
     a = dense_array(w)
-    binv = block_inverse(w, 1, 8)
+    binv = block_inverse_rows(w, 1, 8)
     inv = np.linalg.inv(a)
     for i in (1, 4, 8):
-        assert_allclose(binv.row(i), inv[i - 1, :], rtol=1e-10, atol=1e-12)
+        assert_allclose(binv[i - 1], inv[i - 1, :], rtol=1e-10, atol=1e-12)
 
 
 def test_block_inverse_with_interior_zero_minors():
@@ -117,48 +127,27 @@ def test_block_inverse_with_interior_zero_minors():
     w = TridiagonalMatrix(q=np.ones(6), p=np.ones(5), r=np.ones(5))
     a = dense_array(w)
     assert abs(np.linalg.det(a)) > 0.1
-    binv = block_inverse(w, 1, 6)
-    assert np.max(np.abs(a @ binv.values - np.eye(6))) <= 1e-12
+    binv = block_inverse_rows(w, 1, 6)
+    assert np.max(np.abs(a @ binv - np.eye(6))) <= 1e-12
 
 
 def test_regularized_blocks_reconstruction():
     # For a nonsingular matrix cut at an arbitrary boundary: the top block's
     # rows invert the standalone leading submatrix; the bottom block's rows
     # over its own columns invert the trailing submatrix with the coupled
-    # corner; and over all columns they reproduce the true inverse rows.
+    # corner q - p*r*(last diagonal of the top block's inverse); and over
+    # all columns they reproduce the true inverse rows.
     rng = np.random.default_rng(303)
     for _ in range(20):
         m = int(rng.integers(4, 13))
         cut = int(rng.integers(1, m - 1))
         w = random_dominant(rng, m)
         a = dense_array(w)
-        rb = regularized_blocks(w, (m, cut))
-        assert rb.boundaries == (m, cut)
-        assert rb.n == 2
         top_inv = np.linalg.inv(a[:cut, :cut])
-        assert_allclose(rb.blocks[1].values, top_inv, rtol=0, atol=1e-10)
+        assert_allclose(block_inverse_rows(w, 1, cut), top_inv, rtol=0, atol=1e-10)
+        bottom = block_inverse_rows(w, cut + 1, m)
         lower = a[cut:, cut:].copy()
-        lower[0, 0] = rb.coupled[cut + 1]
-        assert_allclose(rb.blocks[0].values[:, cut:], np.linalg.inv(lower),
-                        rtol=0, atol=1e-10)
+        lower[0, 0] -= a[cut, cut - 1] * a[cut - 1, cut] * top_inv[-1, -1]
+        assert_allclose(bottom[:, cut:], np.linalg.inv(lower), rtol=0, atol=1e-10)
         true_inv = np.linalg.inv(a)
-        assert_allclose(rb.blocks[0].values, true_inv[cut:, :], rtol=0, atol=1e-10)
-
-
-def test_coupled_diagonal_folds_block_below():
-    # The replacement corner equals q - p*r times the last diagonal entry of
-    # the inverse of the block above it.
-    rng = np.random.default_rng(304)
-    w = random_dominant(rng, 6)
-    a = dense_array(w)
-    rb = regularized_blocks(w, (6, 3))
-    inv_above = np.linalg.inv(a[:3, :3])
-    want = a[3, 3] - a[3, 2] * a[2, 3] * inv_above[2, 2]
-    assert_allclose(rb.coupled[4], want, rtol=1e-12)
-
-
-def test_max_abs_tracks_largest_entry():
-    rng = np.random.default_rng(305)
-    w = random_dominant(rng, 9)
-    binv = block_inverse(w, 1, 9)
-    assert binv.max_abs == np.max(np.abs(binv.values))
+        assert_allclose(bottom, true_inv[cut:, :], rtol=0, atol=1e-10)

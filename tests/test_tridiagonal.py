@@ -5,15 +5,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ccsolve.matrices import TridiagonalMatrix, dense_array, matvec, norm_inf
+from ccsolve.minors import perturbation_magnitude
 from ccsolve.systems import generate_system
 from ccsolve.tridiagonal import (
     BlockPartition,
-    perturb_singular_zero,
     probe_discrepancy,
     pseudo_inverse_tridiagonal,
     residual_bound,
     rounding_budget,
-    separation_probe,
     solve_cc_tridiagonal,
 )
 
@@ -121,22 +120,13 @@ def test_probe_discrepancy_bounded_by_equation_error():
         assert abs(phi) <= abs(y_j - row_value) + 1e-15
 
 
-def test_separation_probe_flags_unsatisfied_row():
-    # x satisfies rows below j but badly fails row j.
-    s = generate_system(10, 4)
-    x = np.array([0.0, 0.0, 1.0, 1.0])
-    phi_bad = separation_probe(s.matrix, s.y, x, 2)
-    assert abs(phi_bad) > 0.1
-    phi_good = separation_probe(s.matrix, s.y, np.ones(4), 2)
-    assert abs(phi_good) <= 1e-12
-
-
 def test_perturb_singular_zero():
+    # a structurally zero quantity is replaced by eps1*max(1, scale)
     scale = 10.0
-    out = perturb_singular_zero(0.0, scale)
+    out = perturbation_magnitude(scale)
     assert out != 0.0
     assert abs(out) == EPS1 * scale
-    assert perturb_singular_zero(3.0, scale) == 3.0
+    assert perturbation_magnitude(0.5) == EPS1
 
 
 def test_rounding_budget_values():
