@@ -16,11 +16,11 @@ from .bench import (
     run_suite,
 )
 from .matrices import (
+    EPS0,
+    EPS1,
     BidiagonalMatrix,
-    DEFAULT_PRECISION,
     DenseMatrix,
     Matrix,
-    Precision,
     TridiagonalMatrix,
     condition_number,
     dense_array,
@@ -73,7 +73,6 @@ from .tridiagonal import (
     probe_discrepancy,
     pseudo_inverse_bidiagonal,
     pseudo_inverse_tridiagonal,
-    residual_bound,
     rounding_budget,
     solve_cc_bidiagonal,
     solve_cc_tridiagonal,

@@ -18,12 +18,11 @@ import numpy as np
 
 from .matrices import (
     BidiagonalMatrix,
-    DEFAULT_PRECISION,
     DenseMatrix,
     Matrix,
-    Precision,
     TridiagonalMatrix,
-    dense_array,
+    _condition_from,
+    _singular_extremes,
     matvec,
     to_dense,
 )
@@ -177,16 +176,13 @@ def _metrics(x_tilde, x_exact, w, y, smin):
     return delta_l, delta_m, delta_r, residual
 
 
-def error_metrics(
-    x_tilde, x_exact, w: Matrix, y, prec: Precision = DEFAULT_PRECISION
-) -> tuple[float, float, float]:
+def error_metrics(x_tilde, x_exact, w: Matrix, y) -> tuple[float, float, float]:
     """Lower, middle, and upper relative-error metrics of a computed solution:
     delta_L = |  ||x_tilde|| - ||x||  | / ||x||,
     delta_M = ||x_tilde - x|| / ||x||,
     delta_R = ||W^-1||_2 * ||W x_tilde - y|| / ||x|| (spectral norm from the
     SVD oracle; infinite for an exactly singular matrix)."""
-    s = np.linalg.svd(dense_array(w), compute_uv=False)
-    smin = float(s[-1])
+    _, smin = _singular_extremes(w)
     delta_l, delta_m, delta_r, _ = _metrics(x_tilde, x_exact, w, y, smin)
     return delta_l, delta_m, delta_r
 
@@ -200,8 +196,15 @@ def mcs_applicable(w: Matrix) -> bool:
     return isinstance(w, DenseMatrix) and is_symmetric(w)
 
 
+def _overflow_is_data():
+    """Floating-point state for a solve and its metrics: a solution or metric
+    that overflows is recorded (a failed outcome, an infinite metric), so
+    numpy's overflow warnings would only repeat it."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _solve_one(
-    solver_id: str, w: Matrix, y, prec: Precision, opts: SolverOptions
+    solver_id: str, w: Matrix, y, opts: SolverOptions
 ) -> tuple[SolverOutcome, CCSolution | None]:
     """Run one solver by id: the one dispatch behind the bench and the CLI.
 
@@ -215,23 +218,23 @@ def _solve_one(
         phi_threshold=opts.phi_threshold, growth_threshold=opts.growth_threshold
     )
     if solver_id == "MCC" and isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
-        inner = solve_cc_tridiagonal(w, y, prec, **thresholds)
+        inner = solve_cc_tridiagonal(w, y, **thresholds)
         outcome = SolverOutcome(solver_id, inner.x_plus, _cc_note(inner))
     elif solver_id in ("MCC", "MCS"):
         route = "general" if solver_id == "MCC" else "symmetric"
-        x, diag = solve_dense(w, y, prec, route=route, **thresholds)
+        x, diag = solve_dense(w, y, route=route, **thresholds)
         inner = diag.inner
         outcome = SolverOutcome(solver_id, x, _cc_note(inner))
     elif solver_id == "GS":
-        outcome = solve_gauss(w, y, prec)
+        outcome = solve_gauss(w, y)
     elif solver_id == "QR":
-        outcome = solve_qr(to_dense(w), y, prec)
+        outcome = solve_qr(to_dense(w), y)
     elif solver_id == "SVD":
         outcome = solve_svd_truncated(
-            to_dense(w), y, opts.svd_rtol, prec, emulate_failure=opts.emulate_svd
+            to_dense(w), y, opts.svd_rtol, emulate_failure=opts.emulate_svd
         )
     elif solver_id == "TRM":
-        outcome = solve_tikhonov(to_dense(w), y, opts.trm_delta, prec)
+        outcome = solve_tikhonov(to_dense(w), y, opts.trm_delta)
     else:
         raise ValueError(f"unknown solver id {solver_id!r}")
     if not outcome.failed and not np.all(np.isfinite(outcome.x)):
@@ -246,15 +249,10 @@ class _SystemInfo:
     smin: float
 
 
-def _system_info(system: TestSystem, prec: Precision) -> _SystemInfo:
-    s = np.linalg.svd(dense_array(system.matrix), compute_uv=False)
-    smax = float(s[0])
-    smin = float(s[-1])
-    if smax == 0.0 or smin <= smax * system.m * prec.eps1:
-        mu = np.inf
-    else:
-        mu = smax / smin
-    return _SystemInfo(mu=mu, regime=classify(mu, prec).label, smin=smin)
+def _system_info(system: TestSystem) -> _SystemInfo:
+    smax, smin = _singular_extremes(system.matrix)
+    mu = _condition_from(smax, smin, system.m)
+    return _SystemInfo(mu=mu, regime=classify(mu).label, smin=smin)
 
 
 def _run_cell(
@@ -262,7 +260,6 @@ def _run_cell(
     base_system: TestSystem,
     solver_id: str,
     info: _SystemInfo,
-    prec: Precision,
     opts: SolverOptions,
     timing: bool,
     target_dx: float | None,
@@ -271,9 +268,10 @@ def _run_cell(
         return None
     t0 = time.perf_counter()
     try:
-        outcome, _ = _solve_one(
-            solver_id, solve_system.matrix, solve_system.y, prec, opts
-        )
+        with _overflow_is_data():
+            outcome, _ = _solve_one(
+                solver_id, solve_system.matrix, solve_system.y, opts
+            )
     except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
         outcome = SolverOutcome(solver_id, None, f"error: {exc}")
     wall = time.perf_counter() - t0 if timing else 0.0
@@ -304,14 +302,16 @@ def _run_cell(
             failed=True,
             **common,
         )
-    delta_l, delta_m, delta_r, residual = _metrics(
-        outcome.x, x_exact, base_system.matrix, y, info.smin
-    )
+    with _overflow_is_data():
+        delta_l, delta_m, delta_r, residual = _metrics(
+            outcome.x, x_exact, base_system.matrix, y, info.smin
+        )
+        norm_xtilde = float(np.linalg.norm(outcome.x))
     return BenchRecord(
         delta_l=delta_l,
         delta_m=delta_m,
         delta_r=delta_r,
-        norm_xtilde=float(np.linalg.norm(outcome.x)),
+        norm_xtilde=norm_xtilde,
         residual_norm=residual,
         failed=False,
         **common,
@@ -322,7 +322,6 @@ def run_suite(
     profile: str | Profile,
     solvers=None,
     seed: int = 7,
-    prec: Precision = DEFAULT_PRECISION,
     *,
     timing: bool = False,
     opts: SolverOptions | None = None,
@@ -352,22 +351,20 @@ def run_suite(
     records: list[BenchRecord] = []
     for system_id, m in prof.cells:
         system = generate_system(system_id, m)
-        info = _system_info(system, prec)
+        info = _system_info(system)
         for sid in solver_list:
-            rec = _run_cell(system, system, sid, info, prec, opts, timing, None)
+            rec = _run_cell(system, system, sid, info, opts, timing, None)
             if rec is not None:
                 records.append(rec)
     counter = 0
     for system_id, m, level, reps in prof.perturbed:
         base = generate_system(system_id, m)
-        info = _system_info(base, prec)
+        info = _system_info(base)
         for _ in range(reps):
             counter += 1
             perturbed, _delta_y = perturb_solution(base, level, seed + counter)
             for sid in solver_list:
-                rec = _run_cell(
-                    perturbed, base, sid, info, prec, opts, timing, level
-                )
+                rec = _run_cell(perturbed, base, sid, info, opts, timing, level)
                 if rec is not None:
                     records.append(rec)
     records.sort(key=lambda r: (r.system_id, r.m, r.solver_id))

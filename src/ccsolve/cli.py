@@ -14,19 +14,14 @@ import numpy as np
 from .bench import (
     PROFILES,
     SolverOptions,
+    _overflow_is_data,
     _solve_one,
     aggregate,
     emit_report,
     mcs_applicable,
     run_suite,
 )
-from .matrices import (
-    DEFAULT_PRECISION,
-    DenseMatrix,
-    condition_number,
-    dense_array,
-    matvec,
-)
+from .matrices import DenseMatrix, condition_number, matvec
 from .systems import classify, generate_system
 from .textio import (
     ParseError,
@@ -51,6 +46,7 @@ _DENSE_ROUTES = {
 
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
+    """The two knobs of the banded sweep."""
     parser.add_argument(
         "--phi-threshold",
         type=float,
@@ -63,6 +59,11 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="critical-component growth cutoff (default 1/eps1)",
     )
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """The sweep's knobs plus those of the SVD and Tikhonov solvers."""
+    _add_threshold_flags(parser)
     parser.add_argument(
         "--svd-rtol",
         type=float,
@@ -99,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solver", choices=_SOLVER_CHOICES, default="mcc", help="solver to run"
     )
     p_solve.add_argument("--out", help="write the solution vector here")
-    _add_threshold_flags(p_solve)
+    _add_solver_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a benchmark profile")
@@ -120,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--timing", action="store_true", help="record wall-clock times"
     )
-    _add_threshold_flags(p_bench)
+    _add_solver_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate a test system")
@@ -153,7 +154,6 @@ def _opts_from(args: argparse.Namespace) -> SolverOptions:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    prec = DEFAULT_PRECISION
     w = read_matrix(args.matrix)
     y = read_vector(args.rhs)
     if y.shape != (w.m,):
@@ -166,7 +166,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if solver_id == "MCS" and not mcs_applicable(w):
         print("error: solver mcs requires a dense symmetric matrix", file=sys.stderr)
         return 2
-    outcome, inner = _solve_one(solver_id, w, y, prec, _opts_from(args))
+    with _overflow_is_data():
+        outcome, inner = _solve_one(solver_id, w, y, _opts_from(args))
     if outcome.failed:
         print(f"{solver_id} failed: {outcome.note}", file=sys.stderr)
         return 3
@@ -184,10 +185,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if inner.events:
             # the note of an MCC or MCS outcome is its sorted event labels
             summary.append(f"events: {outcome.note}")
-    residual = float(np.max(np.abs(matvec(w, x) - y)))
+    with _overflow_is_data():
+        residual = float(np.max(np.abs(matvec(w, x) - y)))
     summary.append(f"residual_inf: {residual:.6e}")
-    mu = condition_number(dense_array(w), prec)
-    regime = classify(mu, prec)
+    regime = classify(condition_number(w))
     summary.append(f"regime: {regime.label} (mu = {regime.mu:.6e})")
     text = vector_to_text(x)
     if args.out:
@@ -235,13 +236,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_pinv(args: argparse.Namespace) -> int:
-    prec = DEFAULT_PRECISION
     w = read_matrix(args.matrix)
     if isinstance(w, DenseMatrix):
         print("error: pinv expects a banded (tridiagonal or bidiagonal) matrix", file=sys.stderr)
         return 2
     pinv = pseudo_inverse_tridiagonal(
-        w, prec, phi_threshold=args.phi_threshold, growth_threshold=args.growth_threshold
+        w, phi_threshold=args.phi_threshold, growth_threshold=args.growth_threshold
     )
     text = matrix_to_text(pinv)
     if args.out:

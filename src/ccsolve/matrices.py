@@ -1,4 +1,9 @@
-"""Matrix containers, products, norms, and condition numbers.
+"""Matrix containers, products, norms, condition numbers, and the
+floating-point model.
+
+Every computation in the package runs in float64, so the unit roundoff
+eps1 = 2**-52 and the underflow threshold eps0 of the residual bound and the
+error budgets are the module constants EPS1 and EPS0, not parameters.
 
 Conventions used across the package (1-based, as in the docstrings):
 the main diagonal holds q_1..q_m, the sub-diagonal p_2..p_m with p_i at
@@ -15,9 +20,9 @@ import numpy as np
 
 __all__ = [
     "BidiagonalMatrix",
-    "DEFAULT_PRECISION",
     "DenseMatrix",
-    "Precision",
+    "EPS0",
+    "EPS1",
     "TridiagonalMatrix",
     "condition_number",
     "dense_array",
@@ -30,19 +35,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Floating-point model: unit roundoff and underflow threshold."""
-
-    eps1: float = float(np.finfo(np.float64).eps)
-    eps0: float = float(np.finfo(np.float64).tiny)
-
-    def __post_init__(self):
-        if not 0.0 < self.eps0 < self.eps1 < 1.0:
-            raise ValueError("precision requires 0 < eps0 < eps1 < 1")
-
-
-DEFAULT_PRECISION = Precision()
+# float64 unit roundoff and smallest normal number.  The residual bound is
+# valid only for the roundoff of the arithmetic actually used.
+EPS1 = float(np.finfo(np.float64).eps)
+EPS0 = float(np.finfo(np.float64).tiny)
 
 
 def _as_float_vector(values, name, length=None):
@@ -198,13 +194,23 @@ def frobenius_norm(w: Matrix) -> float:
     return float(np.linalg.norm(a))
 
 
-def condition_number(a: Matrix, prec: Precision = DEFAULT_PRECISION) -> float:
-    """Spectral condition number sigma_max/sigma_min from a full singular
-    value computation; +inf when sigma_min <= sigma_max * m * eps1."""
-    arr = a.a if isinstance(a, DenseMatrix) else dense_array(a)
+def _singular_extremes(w: Matrix) -> tuple[float, float]:
+    """(sigma_max, sigma_min) from a full singular value computation, the
+    oracle behind condition numbers and delta_R; a DenseMatrix is read in
+    place, a band container densified once."""
+    arr = w.a if isinstance(w, DenseMatrix) else dense_array(w)
     sigma = np.linalg.svd(arr, compute_uv=False)
-    smax = float(sigma[0])
-    smin = float(sigma[-1])
-    if smin <= smax * arr.shape[0] * prec.eps1:
+    return float(sigma[0]), float(sigma[-1])
+
+
+def _condition_from(smax: float, smin: float, m: int) -> float:
+    """sigma_max/sigma_min, or +inf when sigma_min <= sigma_max * m * eps1."""
+    if smin <= smax * m * EPS1:
         return float("inf")
     return smax / smin
+
+
+def condition_number(a: Matrix) -> float:
+    """Spectral condition number sigma_max/sigma_min from a full singular
+    value computation; +inf when sigma_min <= sigma_max * m * eps1."""
+    return _condition_from(*_singular_extremes(a), a.m)

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import (
-    BidiagonalMatrix,
-    DEFAULT_PRECISION,
-    Precision,
-    TridiagonalMatrix,
-)
+from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix
 
 __all__ = [
     "g_sequence",
@@ -53,9 +48,9 @@ def band_scale(w: TridiagonalMatrix | BidiagonalMatrix) -> float:
     return scale
 
 
-def perturbation_magnitude(scale: float, prec: Precision = DEFAULT_PRECISION) -> float:
+def perturbation_magnitude(scale: float) -> float:
     """Magnitude eps1*scale used to replace a structurally zero quantity."""
-    return prec.eps1 * max(1.0, scale)
+    return EPS1 * max(1.0, scale)
 
 
 def is_exact_zero(value: float) -> bool:
@@ -64,20 +59,18 @@ def is_exact_zero(value: float) -> bool:
     return value == 0.0
 
 
-def lambda_sequence(c3, start_row: int = 1) -> np.ndarray:
+def lambda_sequence(c3) -> np.ndarray:
     """Leading minor-ratio sequence as a padded array.
 
     With all minors nonzero, lam[i+1] equals d_i/d_{i-1}, the ratio of
     consecutive leading principal minors.  The recurrence restarts after a
     zero: lam[i] == 0 makes lam[i+1] undefined (NaN) and lam[i+2] = q_{i+1}.
-    Entries outside start_row+1..m+1 are NaN.
+    Entries outside 2..m+1 are NaN.
     """
     m, qq, pp, rr = padded_bands(c3)
-    if not 1 <= start_row <= m:
-        raise ValueError(f"start_row must be in 1..{m}, got {start_row}")
     lam = np.full(m + 2, np.nan)
-    lam[start_row + 1] = qq[start_row]
-    for i in range(start_row + 1, m + 1):
+    lam[2] = qq[1]
+    for i in range(2, m + 1):
         if np.isnan(lam[i]):
             lam[i + 1] = qq[i]
         elif lam[i] == 0.0:

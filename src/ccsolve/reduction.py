@@ -22,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .matrices import (
+    EPS0,
+    EPS1,
     BidiagonalMatrix,
-    DEFAULT_PRECISION,
     DenseMatrix,
-    Precision,
     TridiagonalMatrix,
     frobenius_norm,
     norm_inf,
@@ -110,9 +110,9 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float] | None:
     return v, alpha
 
 
-def _budget_formula(m, norm_a, norm_f, prec, route) -> ErrorBudget:
-    eps_r = 29.0 * prec.eps1
-    zero_r = (2.0 * m + 2.0 * np.sqrt(m)) * prec.eps0
+def _budget_formula(m, norm_a, norm_f, route) -> ErrorBudget:
+    eps_r = 29.0 * EPS1
+    zero_r = (2.0 * m + 2.0 * np.sqrt(m)) * EPS0
     if route == "bidiagonal":
         count = 2.0 * m - 3.0
         den = 1.0 - (m - 2.0) * eps_r
@@ -132,7 +132,6 @@ def reduction_error_budget(
     m: int,
     norm_a: float,
     norm_f: float,
-    prec: Precision = DEFAULT_PRECISION,
     route: str = "bidiagonal",
 ) -> ErrorBudget:
     """Truncation budget of the orthogonal reduction: h2 bounds the Euclidean
@@ -140,18 +139,16 @@ def reduction_error_budget(
     transform of the input, delta2 the same for the right-hand side."""
     if m < 3:
         raise ValueError("the error-budget formulas require m >= 3")
-    return _budget_formula(m, norm_a, norm_f, prec, route)
+    return _budget_formula(m, norm_a, norm_f, route)
 
 
-def _route_budget(m, norm_a, norm_f, prec, route) -> ErrorBudget:
+def _route_budget(m, norm_a, norm_f, route) -> ErrorBudget:
     if m < 2:
         return ErrorBudget()
-    return _budget_formula(m, norm_a, norm_f, prec, route)
+    return _budget_formula(m, norm_a, norm_f, route)
 
 
-def reduce_symmetric(
-    a: DenseMatrix, f, prec: Precision = DEFAULT_PRECISION
-) -> ReductionResult:
+def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
     """Householder similarity reduction of a symmetric matrix to tridiagonal
     form; raises ValueError on a matrix that is not symmetric within
     1e-12 * norm_inf."""
@@ -180,7 +177,7 @@ def reduce_symmetric(
         np.diag(arr).copy(), np.diag(arr, -1).copy(), np.diag(arr, 1).copy()
     )
     budget = _route_budget(
-        m, frobenius_norm(a), float(np.linalg.norm(f)), prec, "tridiagonal"
+        m, frobenius_norm(a), float(np.linalg.norm(f)), "tridiagonal"
     )
     return ReductionResult(
         form="tridiagonal",
@@ -191,9 +188,7 @@ def reduce_symmetric(
     )
 
 
-def reduce_general(
-    a: DenseMatrix, f, prec: Precision = DEFAULT_PRECISION
-) -> ReductionResult:
+def reduce_general(a: DenseMatrix, f) -> ReductionResult:
     """Two-sided Householder reduction of a square matrix to upper-bidiagonal
     form C2 = P A Q with rhs P f."""
     m = a.m
@@ -222,7 +217,7 @@ def reduce_general(
             right.append((k + 1, v))
     c2 = BidiagonalMatrix(np.diag(arr).copy(), np.diag(arr, 1).copy())
     budget = _route_budget(
-        m, frobenius_norm(a), float(np.linalg.norm(f)), prec, "bidiagonal"
+        m, frobenius_norm(a), float(np.linalg.norm(f)), "bidiagonal"
     )
     return ReductionResult(
         form="bidiagonal",
@@ -252,7 +247,6 @@ class DenseSolveDiagnostics:
 def solve_dense(
     a: DenseMatrix,
     f,
-    prec: Precision = DEFAULT_PRECISION,
     *,
     route: str | None = None,
     phi_threshold: float | None = None,
@@ -267,15 +261,14 @@ def solve_dense(
     if route is None:
         route = "symmetric" if is_symmetric(a) else "general"
     if route == "symmetric":
-        reduction = reduce_symmetric(a, f, prec)
+        reduction = reduce_symmetric(a, f)
     elif route == "general":
-        reduction = reduce_general(a, f, prec)
+        reduction = reduce_general(a, f)
     else:
         raise ValueError(f"unknown route {route!r}")
     inner = solve_cc_tridiagonal(
         reduction.matrix,
         reduction.rhs,
-        prec,
         phi_threshold=phi_threshold,
         growth_threshold=growth_threshold,
     )

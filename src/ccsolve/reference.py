@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
+    EPS0,
+    EPS1,
     BidiagonalMatrix,
-    DEFAULT_PRECISION,
     DenseMatrix,
     Matrix,
-    Precision,
     TridiagonalMatrix,
     dense_array,
     frobenius_norm,
@@ -116,7 +116,7 @@ def _gauss_bidiagonal(c2: BidiagonalMatrix, y: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def solve_gauss(w: Matrix, y, prec: Precision = DEFAULT_PRECISION) -> SolverOutcome:
+def solve_gauss(w: Matrix, y) -> SolverOutcome:
     """LU with partial pivoting; banded variants for the banded types.
 
     Returns a solution even when the system is badly conditioned; fails only
@@ -135,7 +135,7 @@ def solve_gauss(w: Matrix, y, prec: Precision = DEFAULT_PRECISION) -> SolverOutc
     return SolverOutcome(solver_id="GS", x=x, note=note)
 
 
-def solve_qr(a: DenseMatrix, y, prec: Precision = DEFAULT_PRECISION) -> SolverOutcome:
+def solve_qr(a: DenseMatrix, y) -> SolverOutcome:
     """Householder QR followed by back substitution; fails only on an exactly
     zero diagonal entry of R."""
     m = a.m
@@ -167,7 +167,6 @@ def solve_svd_truncated(
     a: DenseMatrix,
     y,
     rel_tol: float | None = None,
-    prec: Precision = DEFAULT_PRECISION,
     emulate_failure: bool = False,
 ) -> SolverOutcome:
     """Pseudo-solution through the full SVD with small singular values zeroed.
@@ -184,10 +183,10 @@ def solve_svd_truncated(
     if y.shape != (m,):
         raise ValueError(f"y must have length {m}")
     if rel_tol is None:
-        rel_tol = m * prec.eps1
+        rel_tol = m * EPS1
     u, s, vt = np.linalg.svd(a.a)
     smax = float(s[0]) if m else 0.0
-    if emulate_failure and (smax == 0.0 or float(s[-1]) < prec.eps1 * smax):
+    if emulate_failure and (smax == 0.0 or float(s[-1]) < EPS1 * smax):
         return SolverOutcome(
             solver_id="SVD", x=None, note="declined: matrix is rank-deficient at working precision"
         )
@@ -204,7 +203,6 @@ def solve_tikhonov(
     a: DenseMatrix,
     y,
     delta_star: float | None = None,
-    prec: Precision = DEFAULT_PRECISION,
 ) -> SolverOutcome:
     """Tikhonov-regularized solution with alpha chosen by the discrepancy
     principle.
@@ -226,19 +224,19 @@ def solve_tikhonov(
     ata = arr.T @ arr
     aty = arr.T @ y
     eye = np.eye(m)
-    scale = max(float(np.max(np.abs(ata))), prec.eps0)
+    scale = max(float(np.max(np.abs(ata))), EPS0)
 
     def solve_at(alpha: float) -> tuple[np.ndarray, float]:
         z = np.linalg.solve(ata + alpha * eye, aty)
         return z, float(np.linalg.norm(arr @ z - y))
 
-    alpha_min = prec.eps1**2 * scale
+    alpha_min = EPS1**2 * scale
     z0, r0 = solve_at(alpha_min)
     if delta_star is None:
-        delta_star = prec.eps1 * (
+        delta_star = EPS1 * (
             frobenius_norm(a) * float(np.linalg.norm(z0)) + float(np.linalg.norm(y))
         )
-    tol = 1e-3 * max(delta_star, prec.eps1 * float(np.linalg.norm(y)))
+    tol = 1e-3 * max(delta_star, EPS1 * float(np.linalg.norm(y)))
     if r0 > delta_star:
         return SolverOutcome(
             solver_id="TRM",
@@ -275,7 +273,7 @@ def solve_tikhonov(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= prec.eps1 * hi:
+        if hi - lo <= EPS1 * hi:
             break
     return SolverOutcome(
         solver_id="TRM",

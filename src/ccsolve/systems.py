@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
+    EPS1,
     BidiagonalMatrix,
-    DEFAULT_PRECISION,
     DenseMatrix,
     Matrix,
-    Precision,
     TridiagonalMatrix,
     matvec,
 )
@@ -243,14 +242,14 @@ def perturb_solution(
     return perturbed, delta_y
 
 
-def classify(mu: float, prec: Precision = DEFAULT_PRECISION) -> Regime:
+def classify(mu: float) -> Regime:
     """Conditioning regime by condition number: well-posed up to 1/sqrt(eps1),
     ill-posed up to 1/eps1, pathological beyond (including mu = inf)."""
     if not mu >= 1.0:
         raise ValueError(f"condition number must be >= 1, got {mu}")
-    if mu <= 1.0 / np.sqrt(prec.eps1):
+    if mu <= 1.0 / np.sqrt(EPS1):
         label = "well-posed"
-    elif mu <= 1.0 / prec.eps1:
+    elif mu <= 1.0 / EPS1:
         label = "ill-posed"
     else:
         label = "pathological"

@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import (
+    EPS1,
     BidiagonalMatrix,
-    DEFAULT_PRECISION,
     DenseMatrix,
-    Precision,
     TridiagonalMatrix,
     norm_inf,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "probe_discrepancy",
     "pseudo_inverse_bidiagonal",
     "pseudo_inverse_tridiagonal",
-    "residual_bound",
     "rounding_budget",
     "solve_cc_bidiagonal",
     "solve_cc_tridiagonal",
@@ -110,16 +108,12 @@ class BlockPartition:
 @dataclass(frozen=True)
 class ErrorBudget:
     """Data perturbation bounds: h for the matrix, delta for the right-hand
-    side, with optional per-stage components (h <= h0+h1+h2 and likewise
-    for delta)."""
+    side, with the components h2 and delta2 that the band truncation of a
+    dense reduction contributes (zero for a rounding-only budget)."""
 
     h: float = 0.0
     delta: float = 0.0
-    h0: float = 0.0
-    h1: float = 0.0
     h2: float = 0.0
-    delta0: float = 0.0
-    delta1: float = 0.0
     delta2: float = 0.0
 
 
@@ -174,12 +168,12 @@ def probe_discrepancy(y_j: float, row_value: float) -> float:
     return 1.0 - abs(row_value) / abs(y_j)
 
 
-def rounding_budget(w, y, prec: Precision = DEFAULT_PRECISION) -> ErrorBudget:
+def rounding_budget(w, y) -> ErrorBudget:
     """Budget covering representation rounding only: h = eps1*norm_inf(W),
     delta = eps1*max|y_i|."""
-    h = prec.eps1 * norm_inf(w)
-    delta = prec.eps1 * float(np.max(np.abs(np.asarray(y, dtype=float))))
-    return ErrorBudget(h=h, delta=delta, h0=h, delta0=delta)
+    h = EPS1 * norm_inf(w)
+    delta = EPS1 * float(np.max(np.abs(np.asarray(y, dtype=float))))
+    return ErrorBudget(h=h, delta=delta)
 
 
 def _band_tau(w) -> float:
@@ -192,7 +186,7 @@ def _band_tau(w) -> float:
     return tau
 
 
-def _build_bound(w, partition, rho, max_y, x_plus, budget, prec) -> ResidualBound:
+def _build_bound(w, partition, rho, max_y, x_plus, budget) -> ResidualBound:
     """eps1*tau*rho*gamma*max_y + delta, delta = h*max|x_plus| + budget.delta.
 
     For a tridiagonal w, tau = max(|p_i|, |r_i|) and gamma is the partition
@@ -206,28 +200,8 @@ def _build_bound(w, partition, rho, max_y, x_plus, budget, prec) -> ResidualBoun
     else:
         gamma = partition.gamma()
     delta = budget.h * float(np.max(np.abs(x_plus))) + budget.delta
-    value = prec.eps1 * tau * rho * gamma * max_y + delta
+    value = EPS1 * tau * rho * gamma * max_y + delta
     return ResidualBound(tau, rho, gamma, max_y, delta, value)
-
-
-def residual_bound(
-    w: TridiagonalMatrix | BidiagonalMatrix,
-    solution: CCSolution,
-    budget: ErrorBudget,
-    prec: Precision = DEFAULT_PRECISION,
-) -> ResidualBound:
-    """Residual bound of a computed solution under a caller-supplied data
-    perturbation budget (delta term = budget.h*max|x_plus| + budget.delta);
-    the band and partition factors follow the matrix type (_build_bound)."""
-    return _build_bound(
-        w,
-        solution.partition,
-        solution.rho,
-        solution.bound.max_y,
-        solution.x_plus,
-        budget,
-        prec,
-    )
 
 
 def _chain_step(elem: float, elem_pert: int, unmasked: bool, y_next: float, state):
@@ -283,22 +257,19 @@ class _RowSweep:
     give the largest entry magnitude, from which the solver takes rho.
     """
 
-    def __init__(
-        self, c3: TridiagonalMatrix | BidiagonalMatrix, y: np.ndarray, prec: Precision
-    ):
+    def __init__(self, c3: TridiagonalMatrix | BidiagonalMatrix, y: np.ndarray):
         m, qq, pp, rr = padded_bands(c3)
         qq, pp, rr = qq.tolist(), pp.tolist(), rr.tolist()
         lam = lambda_sequence(c3).tolist()
         yy = [math.nan] + y.tolist()
         self.qq, self.pp, self.rr, self.lam, self.yy = qq, pp, rr, lam, yy
         self.scale = band_scale(c3)
-        self.eps1 = prec.eps1
         # per column i: the perturbed row of beta_i and the F chain state
         self.left_first = first = [0] * (m + 1)
         self.left = left = [(0.0, 0.0, 0)] * (m + 1)
         for i in range(2, m + 1):
             ev: list = []
-            beta = _beta(i, qq, pp, rr, lam, self.scale, self.eps1, ev)
+            beta = _beta(i, qq, pp, rr, lam, self.scale, EPS1, ev)
             first[i] = ev[0][1] if ev else 0
             unmasked = lam[i - 1] != 0.0
             left[i] = _chain_step(beta, first[i], unmasked, yy[i - 1], left[i - 1])
@@ -317,7 +288,7 @@ class _RowSweep:
         qq, pp, rr, g = self.qq, self.pp, self.rr, self.g
         extend_g(g, i, qq, pp, rr)
         ev: list = []
-        beta_hat = _beta_hat(i + 1, qq, pp, rr, g, self.scale, self.eps1, ev)
+        beta_hat = _beta_hat(i + 1, qq, pp, rr, g, self.scale, EPS1, ev)
         self.right_first = ev[0][1] if ev else 0
         self.right = _chain_step(
             beta_hat, self.right_first, g[i + 1] != 0.0, self.yy[i + 1], self.right
@@ -336,7 +307,7 @@ class _RowSweep:
         lam, g = self.lam, self.g
         events: list = []
         b_ii, omega = _diag_and_omega(
-            i, self.qq, self.pp, self.rr, lam, g, self.scale, self.eps1, events
+            i, self.qq, self.pp, self.rr, lam, g, self.scale, EPS1, events
         )
         x_i = b_ii * self.yy[i]
         rho_i = abs(b_ii)
@@ -368,12 +339,12 @@ class _RowSweep:
         qq, pp, rr, lam = self.qq, self.pp, self.rr, self.lam
         lam_local = {j - 1: lam[j - 1], j: 1.0, j + 1: qq[j] - pp[j] * rr[j] / lam_j}
         b_jj, omega = _diag_and_omega(
-            j, qq, pp, rr, lam_local, fresh_block_g(j, qq), self.scale, self.eps1, []
+            j, qq, pp, rr, lam_local, fresh_block_g(j, qq), self.scale, EPS1, []
         )
         x_j = b_jj * self.yy[j]
         rho_j = abs(b_jj)
         if j > 1:
-            beta_j = _beta(j, qq, pp, rr, lam_local, self.scale, self.eps1, [])
+            beta_j = _beta(j, qq, pp, rr, lam_local, self.scale, EPS1, [])
             state = _chain_step(
                 beta_j, 0, lam[j - 1] != 0.0, self.yy[j - 1], self.left[j - 1]
             )
@@ -386,7 +357,6 @@ class _RowSweep:
 def solve_cc_tridiagonal(
     c3: TridiagonalMatrix | BidiagonalMatrix,
     y,
-    prec: Precision = DEFAULT_PRECISION,
     *,
     phi_threshold: float | None = None,
     growth_threshold: float | None = None,
@@ -421,12 +391,11 @@ def solve_cc_tridiagonal(
         raise ValueError(f"y must have length {m}")
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("y must contain only finite values")
-    eps1 = prec.eps1
     phi_thr = (
-        2.0 * float(np.sqrt(eps1)) if phi_threshold is None else float(phi_threshold)
+        2.0 * float(np.sqrt(EPS1)) if phi_threshold is None else float(phi_threshold)
     )
-    growth_thr = 1.0 / eps1 if growth_threshold is None else float(growth_threshold)
-    sweep = _RowSweep(c3, y_arr, prec)
+    growth_thr = 1.0 / EPS1 if growth_threshold is None else float(growth_threshold)
+    sweep = _RowSweep(c3, y_arr)
     qq, pp, rr, lam, yy = sweep.qq, sweep.pp, sweep.rr, sweep.lam, sweep.yy
 
     x_plus = [math.nan] * (m + 1)
@@ -485,7 +454,7 @@ def solve_cc_tridiagonal(
                     severed.add(j)
                     lam_j = lam[j]
                     if math.isnan(lam_j) or lam_j == 0.0:
-                        lam_j = perturbation_magnitude(sweep.scale, prec)
+                        lam_j = perturbation_magnitude(sweep.scale)
                         events.append(("perturbed-zero", j))
                     x_j, b_jj, rho_j = sweep.severed_row(j, lam_j)
                     phi_j = 0.0 if k == 1 else -b_jj * rr[lk + 1] * x_plus[lk + 1]
@@ -528,7 +497,7 @@ def solve_cc_tridiagonal(
     x_plus_arr = np.array(x_plus[1 : m + 1])
     max_y = float(np.max(np.abs(y_arr)))
     bound = _build_bound(
-        c3, partition, rho, max_y, x_plus_arr, rounding_budget(c3, y_arr, prec), prec
+        c3, partition, rho, max_y, x_plus_arr, rounding_budget(c3, y_arr)
     )
     return CCSolution(
         x_plus=x_plus_arr,
@@ -544,7 +513,6 @@ def solve_cc_tridiagonal(
 
 def pseudo_inverse_tridiagonal(
     c3: TridiagonalMatrix | BidiagonalMatrix,
-    prec: Precision = DEFAULT_PRECISION,
     *,
     phi_threshold: float | None = None,
     growth_threshold: float | None = None,
@@ -558,11 +526,7 @@ def pseudo_inverse_tridiagonal(
         e_j = np.zeros(m)
         e_j[j] = 1.0
         solution = solve_cc_tridiagonal(
-            c3,
-            e_j,
-            prec,
-            phi_threshold=phi_threshold,
-            growth_threshold=growth_threshold,
+            c3, e_j, phi_threshold=phi_threshold, growth_threshold=growth_threshold
         )
         result[:, j] = solution.x_plus
     return DenseMatrix(result)

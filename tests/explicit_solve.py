@@ -1,7 +1,8 @@
 """Reference for the O(m) sweep: the explicit inverse-row solve loop.
 
 This is the block-separation loop as it stood before the sweep replaced it,
-kept verbatim apart from its name and docstring.  The equivalence tests
+kept verbatim apart from its name, its docstring and the fixed float64
+precision (EPS1 in place of a precision argument).  The equivalence tests
 compare ``solve_cc_tridiagonal`` against it; it is not part of the package.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ccsolve.matrices import DEFAULT_PRECISION, Precision, TridiagonalMatrix
+from ccsolve.matrices import EPS1, TridiagonalMatrix
 from ccsolve.minors import (
     band_scale,
     extend_g,
@@ -33,7 +34,6 @@ from ccsolve.tridiagonal import (
 def explicit_solve_cc_tridiagonal(
     c3: TridiagonalMatrix,
     y,
-    prec: Precision = DEFAULT_PRECISION,
     *,
     phi_threshold: float | None = None,
     growth_threshold: float | None = None,
@@ -47,7 +47,7 @@ def explicit_solve_cc_tridiagonal(
         raise ValueError(f"y must have length {m}")
     if not np.all(np.isfinite(yv[1:])):
         raise ValueError("y must contain only finite values")
-    eps1 = prec.eps1
+    eps1 = EPS1
     phi_thr = (
         2.0 * float(np.sqrt(eps1)) if phi_threshold is None else float(phi_threshold)
     )
@@ -123,7 +123,7 @@ def explicit_solve_cc_tridiagonal(
                     lam_local = lam.copy()
                     lam_j = lam[j]
                     if np.isnan(lam_j) or lam_j == 0.0:
-                        lam_j = perturbation_magnitude(scale, prec)
+                        lam_j = perturbation_magnitude(scale)
                         events.append(("perturbed-zero", j))
                     lam_local[j] = 1.0
                     lam_local[j + 1] = qq[j] - pp[j] * rr[j] / lam_j
@@ -175,7 +175,7 @@ def explicit_solve_cc_tridiagonal(
     )
     max_y = float(np.max(np.abs(yv[1:])))
     bound = _build_bound(
-        c3, partition, rho, max_y, x_plus[1:], rounding_budget(c3, y, prec), prec
+        c3, partition, rho, max_y, x_plus[1:], rounding_budget(c3, y)
     )
     return CCSolution(
         x_plus=x_plus[1:],

@@ -8,7 +8,6 @@ from ccsolve.matrices import BidiagonalMatrix, TridiagonalMatrix, dense_array, m
 from ccsolve.systems import generate_system
 from ccsolve.tridiagonal import (
     pseudo_inverse_bidiagonal,
-    residual_bound,
     rounding_budget,
     solve_cc_bidiagonal,
     solve_cc_tridiagonal,
@@ -100,7 +99,7 @@ def test_residual_bound_formula_and_coverage():
         y = matvec(w, x)
         sol = solve_cc_bidiagonal(w, y)
         budget = rounding_budget(w, y)
-        bound = residual_bound(w, sol, budget)
+        bound = sol.bound
         assert_allclose(bound.tau, np.max(np.abs(w.r)), rtol=1e-15)
         want = EPS1 * bound.tau * bound.rho * bound.gamma * bound.max_y + bound.delta
         assert_allclose(bound.bound_value, want, rtol=1e-15)

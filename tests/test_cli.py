@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -113,6 +115,25 @@ def test_solve_nonfinite_solution_exits_3(tmp_path, capsys, solver):
     assert f"{solver.upper()} failed: error: non-finite solution" in err
 
 
+def test_solve_densifies_band_input_once(tmp_path, capsys):
+    # The regime line needs the SVD of a dense copy of the band matrix; one
+    # m x m copy (8 m^2 bytes) plus small work, not a second copy.
+    m = 400
+    prefix = tmp_path / "case"
+    assert main(["gen", "6", str(m), "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--matrix", f"{prefix}.matrix",
+                     "--rhs", f"{prefix}.rhs", "--solver", "gs"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 1.5 * 8 * m * m, peak / (8 * m * m)
+
+
 def test_pinv_banded(tmp_path, capsys):
     prefix = tmp_path / "case"
     assert main(["gen", "10", "3", "--out", str(prefix)]) == 0
@@ -133,6 +154,19 @@ def test_pinv_dense_rejected(tmp_path, capsys):
     capsys.readouterr()
     code, out, err = run_cli(capsys, "pinv", "--matrix", f"{prefix}.matrix")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", [["--svd-rtol", "5"], ["--trm-delta", "1"],
+                                  ["--emulate-svd-failure"]])
+def test_pinv_rejects_reference_solver_flags(tmp_path, capsys, flag):
+    # pinv runs only the banded sweep, so it takes only the sweep's knobs.
+    prefix = tmp_path / "case"
+    assert main(["gen", "10", "3", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["pinv", "--matrix", f"{prefix}.matrix", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bench_smoke_csv(tmp_path, capsys):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ccsolve import matrices
 from ccsolve.matrices import (
     BidiagonalMatrix,
     DenseMatrix,
-    Precision,
     TridiagonalMatrix,
     condition_number,
     dense_array,
@@ -166,6 +166,5 @@ def test_condition_number_banded_matches_dense():
 
 
 def test_precision_defaults():
-    prec = Precision()
-    assert prec.eps1 == EPS1
-    assert 0.0 < prec.eps0 < 1e-300
+    assert matrices.EPS1 == EPS1
+    assert 0.0 < matrices.EPS0 < 1e-300

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ccsolve.matrices import DEFAULT_PRECISION, TridiagonalMatrix, dense_array, norm_inf
+from ccsolve.matrices import TridiagonalMatrix, dense_array, norm_inf
 from ccsolve.minors import (
     band_scale,
     fresh_block_g,
@@ -33,7 +33,7 @@ def block_inverse_rows(w, top, bottom):
     g = g_sequence(w, top, bottom)
     scale = band_scale(w)
     rows = [
-        inverse_row(i, bottom, qq, pp, rr, lam, g, scale, DEFAULT_PRECISION.eps1, [])
+        inverse_row(i, bottom, qq, pp, rr, lam, g, scale, EPS1, [])
         for i in range(top, bottom + 1)
     ]
     return np.array([row[1:] for row in rows])

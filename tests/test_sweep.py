@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ccsolve.matrices import DEFAULT_PRECISION, TridiagonalMatrix, matvec
+from ccsolve.matrices import TridiagonalMatrix, matvec
 from ccsolve.minors import fresh_block_g, inverse_row
 from ccsolve.tridiagonal import _RowSweep, solve_cc_tridiagonal
 from explicit_solve import explicit_solve_cc_tridiagonal
@@ -66,7 +66,7 @@ def test_rows_match_explicit_inverse_rows():
     rows = 0
     for w, y in degenerate_inputs(11, 150):
         m = w.m
-        sweep = _RowSweep(w, y, DEFAULT_PRECISION)
+        sweep = _RowSweep(w, y)
         for bottom in range(m, 0, -1):
             sweep.open_block(bottom)
             for i in range(bottom, 0, -1):
@@ -82,7 +82,7 @@ def test_severed_rows_match_explicit_recipe():
     # with lam[j] = 1, a fresh G and inverse_row over the one-row block.
     checked = 0
     for w, y in degenerate_inputs(12, 300):
-        sweep = _RowSweep(w, y, DEFAULT_PRECISION)
+        sweep = _RowSweep(w, y)
         qq, pp, rr = sweep.qq, sweep.pp, sweep.rr
         for j in range(1, w.m + 1):
             lam_j = sweep.lam[j]

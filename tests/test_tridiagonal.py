@@ -11,7 +11,6 @@ from ccsolve.tridiagonal import (
     BlockPartition,
     probe_discrepancy,
     pseudo_inverse_tridiagonal,
-    residual_bound,
     rounding_budget,
     solve_cc_tridiagonal,
 )
@@ -147,7 +146,7 @@ def test_residual_bound_formula_and_coverage():
         y = matvec(w, x)
         sol = solve_cc_tridiagonal(w, y)
         budget = rounding_budget(w, y)
-        bound = residual_bound(w, sol, budget)
+        bound = sol.bound
         # formula: eps1 * tau * rho * gamma * max|y| + Delta
         tau = max(np.max(np.abs(w.p)), np.max(np.abs(w.r)))
         assert_allclose(bound.tau, tau, rtol=1e-15)
