@@ -15,6 +15,8 @@ separation probes, not of this module.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix
@@ -68,16 +70,18 @@ def lambda_sequence(c3) -> np.ndarray:
     Entries outside 2..m+1 are NaN.
     """
     m, qq, pp, rr = padded_bands(c3)
-    lam = np.full(m + 2, np.nan)
+    qq, pp, rr = qq.tolist(), pp.tolist(), rr.tolist()
+    lam = [math.nan] * (m + 2)
     lam[2] = qq[1]
     for i in range(2, m + 1):
-        if np.isnan(lam[i]):
+        li = lam[i]
+        if li != li:
             lam[i + 1] = qq[i]
-        elif lam[i] == 0.0:
-            lam[i + 1] = np.nan
+        elif li == 0.0:
+            lam[i + 1] = math.nan
         else:
-            lam[i + 1] = qq[i] - pp[i] * rr[i] / lam[i]
-    return lam
+            lam[i + 1] = qq[i] - pp[i] * rr[i] / li
+    return np.array(lam)
 
 
 def fresh_block_g(block_bottom: int, qq) -> dict[int, float]:
@@ -94,7 +98,7 @@ def extend_g(g: dict[int, float], i: int, qq, pp, rr):
     and the following entry restarts from the diagonal.
     """
     gi = g[i]
-    if np.isnan(gi):
+    if math.isnan(gi):
         g[i - 1] = qq[i]
     elif gi == 0.0:
         g[i - 1] = np.nan

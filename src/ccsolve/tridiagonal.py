@@ -23,6 +23,11 @@ sweep: the left structure elements vanish, every block inverse is upper
 triangular, and for a nonsingular well-posed matrix the solve reduces to
 back substitution.  Only the residual bound changes: its band factor is
 tau_hat = max|r_i| and its partition factor gamma_hat = sqrt(m/2).
+
+The pseudo-inverse solves C3 x = e_j for every unit column.  The structure
+elements do not depend on the right-hand side, so the columns share one
+sweep in lock-step while they stay in the first block; only a column that
+one of the solve's checks rejects is solved again on its own.
 """
 
 from __future__ import annotations
@@ -204,6 +209,16 @@ def _build_bound(w, partition, rho, max_y, x_plus, budget) -> ResidualBound:
     return ResidualBound(tau, rho, gamma, max_y, delta, value)
 
 
+def _thresholds(phi_threshold, growth_threshold) -> tuple[float, float]:
+    """The probe and growth thresholds, with their defaults 2*sqrt(eps1) and
+    1/eps1 (see :func:`solve_cc_tridiagonal`)."""
+    phi_thr = (
+        2.0 * float(np.sqrt(EPS1)) if phi_threshold is None else float(phi_threshold)
+    )
+    growth_thr = 1.0 / EPS1 if growth_threshold is None else float(growth_threshold)
+    return phi_thr, growth_thr
+
+
 def _chain_step(elem: float, elem_pert: int, unmasked: bool, y_next: float, state):
     """Extend an inverse-row chain by one structure element.
 
@@ -239,7 +254,7 @@ def _row_part(omega: float, elem_pert: int, state):
 
 
 class _RowSweep:
-    """Block-inverse rows applied to one right-hand side, in O(1) per row.
+    """Block-inverse rows applied to the right-hand side y, in O(1) per row.
 
     Row i of the inverse of a block ending at l_k is b_ii on the diagonal
     and omega_i times a telescoping product of structure elements elsewhere
@@ -255,13 +270,19 @@ class _RowSweep:
     The column-l_k entry, which drives phi, is omega_i*P_i with
     P_i = beta_hat_{i+1}*P_{i+1}.  The same chains with max in place of +
     give the largest entry magnitude, from which the solver takes rho.
+
+    y is one vector (its entries become Python floats) or a matrix whose
+    columns are swept in lock-step: yy[i] is then row i of y, and the sum
+    chains and x_i are arrays over the columns with the same arithmetic per
+    column.  Everything else - the structure elements, the corner entry and
+    the max-chains - does not depend on y and stays a scalar.
     """
 
     def __init__(self, c3: TridiagonalMatrix | BidiagonalMatrix, y: np.ndarray):
         m, qq, pp, rr = padded_bands(c3)
         qq, pp, rr = qq.tolist(), pp.tolist(), rr.tolist()
         lam = lambda_sequence(c3).tolist()
-        yy = [math.nan] + y.tolist()
+        yy = [math.nan] + (y.tolist() if y.ndim == 1 else list(y))
         self.qq, self.pp, self.rr, self.lam, self.yy = qq, pp, rr, lam, yy
         self.scale = band_scale(c3)
         # per column i: the perturbed row of beta_i and the F chain state
@@ -391,10 +412,7 @@ def solve_cc_tridiagonal(
         raise ValueError(f"y must have length {m}")
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("y must contain only finite values")
-    phi_thr = (
-        2.0 * float(np.sqrt(EPS1)) if phi_threshold is None else float(phi_threshold)
-    )
-    growth_thr = 1.0 / EPS1 if growth_threshold is None else float(growth_threshold)
+    phi_thr, growth_thr = _thresholds(phi_threshold, growth_threshold)
     sweep = _RowSweep(c3, y_arr)
     qq, pp, rr, lam, yy = sweep.qq, sweep.pp, sweep.rr, sweep.lam, sweep.yy
 
@@ -517,12 +535,54 @@ def pseudo_inverse_tridiagonal(
     phi_threshold: float | None = None,
     growth_threshold: float | None = None,
 ) -> DenseMatrix:
-    """Pseudo-inverse assembled column by column: column j solves C3 x = e_j.
-    Equals the inverse for nonsingular well-posed input (upper triangular
-    for a bidiagonal one)."""
+    """Pseudo-inverse assembled column by column: column j is the x_plus of
+    solve_cc_tridiagonal(c3, e_j).  Equals the inverse for nonsingular
+    well-posed input (upper triangular for a bidiagonal one).
+
+    The structure elements do not depend on the right-hand side, so the m
+    unit columns run through one :class:`_RowSweep` in lock-step as the
+    columns of the identity, accepting row after row into the first block.
+    At every row each column meets every check the solve makes: finite
+    x_i and rho_i, the growth test, the probe of the row below and, at row
+    1, the top row's own equation.  A column that fails one leaves the
+    group and is re-solved on its own at the end, so every column is
+    bit-identical to its own solve.  A column that stays one block costs
+    O(m) numpy work, O(m^2) in all; a column that splits costs its own O(m)
+    sweep on top.  The working set is O(m^2): the identity, the left chain
+    of every row and the result, about three m-by-m float arrays.
+    """
     m = c3.m
-    result = np.zeros((m, m))
-    for j in range(m):
+    phi_thr, growth_thr = _thresholds(phi_threshold, growth_threshold)
+    result = np.empty((m, m))
+    split = np.zeros(m, dtype=bool)
+    # Overflow in the group is data: a non-finite x_i sends its column to
+    # the scalar solve, whose Python floats overflow without a warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sweep = _RowSweep(c3, np.eye(m))
+        qq, pp, rr, yy = sweep.qq, sweep.pp, sweep.rr, sweep.yy
+        x_prev = x_below = 0.0
+        for i in range(m, 0, -1):
+            if i < m:
+                sweep.extend(i)
+            x_i, _, rho_i, _, _ = sweep.row(i)
+            # the growth test |phi_i| >= growth_thr, with phi_i = 0 here
+            if not math.isfinite(rho_i) or (i < m and 0.0 >= growth_thr):
+                split[:] = True
+            split |= ~np.isfinite(x_i)
+            if i < m:
+                # probe_discrepancy(y_j, v) is |y_j| - |v| for a unit entry y_j
+                j = i + 1
+                row_value = pp[j] * x_i + qq[j] * x_prev + rr[j + 1] * x_below
+                split |= np.abs(np.abs(yy[j]) - np.abs(row_value)) > phi_thr
+            if i == 1 and m > 1:
+                row_value = qq[1] * x_i + rr[2] * x_prev
+                split |= np.abs(np.abs(yy[1]) - np.abs(row_value)) > phi_thr
+            if split.all():
+                break
+            # x_plus = x_regular + phi with phi = 0 in the first block
+            np.add(x_i, 0.0, out=result[i - 1])
+            x_prev, x_below = x_i, x_prev
+    for j in np.flatnonzero(split):
         e_j = np.zeros(m)
         e_j[j] = 1.0
         solution = solve_cc_tridiagonal(

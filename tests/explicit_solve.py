@@ -1,16 +1,23 @@
-"""Reference for the O(m) sweep: the explicit inverse-row solve loop.
+"""Reference implementations the fast paths are tested against.
 
-This is the block-separation loop as it stood before the sweep replaced it,
-kept verbatim apart from its name, its docstring and the fixed float64
-precision (EPS1 in place of a precision argument).  The equivalence tests
-compare ``solve_cc_tridiagonal`` against it; it is not part of the package.
+- ``explicit_solve_cc_tridiagonal``: the block-separation loop as it stood
+  before the O(m) sweep replaced it, kept verbatim apart from its name, its
+  docstring and the fixed float64 precision (EPS1 in place of a precision
+  argument).
+- ``explicit_pseudo_inverse``: the column loop, one solve per unit column,
+  as it stood before the lock-step pseudo-inverse replaced it.
+- ``explicit_lambda_sequence``: the minor-ratio recurrence on numpy scalars
+  as it stood before it moved to Python floats.
+
+The last two are verbatim apart from their names.  None of this is part of
+the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ccsolve.matrices import EPS1, TridiagonalMatrix
+from ccsolve.matrices import EPS1, DenseMatrix, TridiagonalMatrix
 from ccsolve.minors import (
     band_scale,
     extend_g,
@@ -28,7 +35,50 @@ from ccsolve.tridiagonal import (
     _build_bound,
     probe_discrepancy,
     rounding_budget,
+    solve_cc_tridiagonal,
 )
+
+
+def explicit_lambda_sequence(c3) -> np.ndarray:
+    """Leading minor-ratio sequence as a padded array.
+
+    With all minors nonzero, lam[i+1] equals d_i/d_{i-1}, the ratio of
+    consecutive leading principal minors.  The recurrence restarts after a
+    zero: lam[i] == 0 makes lam[i+1] undefined (NaN) and lam[i+2] = q_{i+1}.
+    Entries outside 2..m+1 are NaN.
+    """
+    m, qq, pp, rr = padded_bands(c3)
+    lam = np.full(m + 2, np.nan)
+    lam[2] = qq[1]
+    for i in range(2, m + 1):
+        if np.isnan(lam[i]):
+            lam[i + 1] = qq[i]
+        elif lam[i] == 0.0:
+            lam[i + 1] = np.nan
+        else:
+            lam[i + 1] = qq[i] - pp[i] * rr[i] / lam[i]
+    return lam
+
+
+def explicit_pseudo_inverse(
+    c3,
+    *,
+    phi_threshold: float | None = None,
+    growth_threshold: float | None = None,
+) -> DenseMatrix:
+    """Pseudo-inverse assembled column by column: column j solves C3 x = e_j.
+    Equals the inverse for nonsingular well-posed input (upper triangular
+    for a bidiagonal one)."""
+    m = c3.m
+    result = np.zeros((m, m))
+    for j in range(m):
+        e_j = np.zeros(m)
+        e_j[j] = 1.0
+        solution = solve_cc_tridiagonal(
+            c3, e_j, phi_threshold=phi_threshold, growth_threshold=growth_threshold
+        )
+        result[:, j] = solution.x_plus
+    return DenseMatrix(result)
 
 
 def explicit_solve_cc_tridiagonal(
