@@ -29,14 +29,13 @@ from .matrices import (
     norm_inf,
     to_dense,
 )
-from .minors import g_sequence, lambda_sequence
+from .minors import lambda_sequence
 from .reduction import (
     DenseSolveDiagnostics,
     ReductionResult,
     backmap,
     reduce_general,
     reduce_symmetric,
-    reduction_error_budget,
     solve_dense,
 )
 from .reference import (

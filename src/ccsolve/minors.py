@@ -1,16 +1,16 @@
-"""Minor-ratio sequences and block-inverse elements for tridiagonal matrices.
+"""Minor-ratio sequences and structure elements for tridiagonal matrices.
 
-These are the building blocks of the block-separation solver: the leading
-minor-ratio sequence Lambda, the per-block trailing minor-ratio sequence G,
-the structure elements beta/beta_hat/omega, and the explicit rows of each
-block inverse (:func:`inverse_row`, the oracle the solver's O(m) sweep is
-tested against).  Everything here works on 1-based padded band arrays
-(qq[i] = q_i and so on) produced by :func:`padded_bands`; NaN marks an
-undefined sequence entry (the entry immediately after an exact zero).
+What the block-separation sweep reads: the leading minor-ratio sequence
+Lambda, the block-local trailing minor-ratio sequence G, and the structure
+elements beta/beta_hat/omega of the block inverse rows (the explicit rows,
+the oracle of the sweep, live in ``tests/explicit_minors.py``).  Everything
+works on 1-based padded bands (qq[i] = q_i and so on, :func:`padded_bands`);
+NaN marks an undefined sequence entry (the entry after an exact zero).
 
 Exact zeros in Lambda/G encode structural rank deficiencies and get
-dedicated zero rules; near-zero values are the business of the solver's
-separation probes, not of this module.
+dedicated zero rules; an exactly-zero denominator is replaced by
+-eps1*scale, and the element reports the row it perturbed (0 for none).
+Near-zero values are the business of the solver's separation probes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix
 
 __all__ = [
-    "g_sequence",
     "lambda_sequence",
 ]
 
@@ -55,12 +54,6 @@ def perturbation_magnitude(scale: float) -> float:
     return EPS1 * max(1.0, scale)
 
 
-def is_exact_zero(value: float) -> bool:
-    """True for a defined entry equal to exactly 0.0 (NaN means undefined,
-    and compares unequal to everything)."""
-    return value == 0.0
-
-
 def lambda_sequence(c3) -> np.ndarray:
     """Leading minor-ratio sequence as a padded array.
 
@@ -84,129 +77,87 @@ def lambda_sequence(c3) -> np.ndarray:
     return np.array(lam)
 
 
-def fresh_block_g(block_bottom: int, qq) -> dict[int, float]:
-    """G sequence holding only the base entries for a block bottom row:
-    the sentinel G[bottom] = 1 and G[bottom-1] = q_bottom."""
-    return {block_bottom: 1.0, block_bottom - 1: qq[block_bottom]}
-
-
-def extend_g(g: dict[int, float], i: int, qq, pp, rr):
-    """Add G[i-1], computed from G[i], to a block-local sequence.
+def extend_g(g: list[float], i: int, qq, pp, rr):
+    """Set G[i-1] from G[i] in g, a block's G as a list by paper row.
 
     Mirrors the lambda recurrence on trailing minors: with nonzero entries,
     G[i-1] = q_i - r_{i+1}*p_{i+1}/G[i]; a zero G[i] makes G[i-1] undefined
     and the following entry restarts from the diagonal.
     """
     gi = g[i]
-    if math.isnan(gi):
+    if gi != gi:
         g[i - 1] = qq[i]
     elif gi == 0.0:
-        g[i - 1] = np.nan
+        g[i - 1] = math.nan
     else:
         g[i - 1] = qq[i] - rr[i + 1] * pp[i + 1] / gi
 
 
-def g_sequence(c3, block_top: int, block_bottom: int) -> dict[int, float]:
-    """Trailing minor-ratio sequence of the block rows block_top..block_bottom.
+def _omega_zero(d: float, i: int, scale: float) -> tuple[float, int]:
+    """Off-diagonal scale d^-1 of row i where lam[i] or G[i] is exactly zero,
+    with the band product d; an exactly-zero d is replaced by -eps1*scale.
+    Returns (omega_i, perturbed row), the row being i or 0 for none."""
+    if d == 0.0:
+        return 1.0 / -perturbation_magnitude(scale), i
+    return 1.0 / d, 0
 
-    Returns a dict keyed by paper index with entries G[bottom] = 1
-    (sentinel), G[bottom-1] = q_bottom, down to G[top-1]; with all trailing
-    principal minors e_i of the block nonzero, G[i] = e_{i+1}/e_{i+2}.
+
+def beta_sequence(lam, pp, rr, scale: float) -> tuple[list, list]:
+    """Left structure elements beta_i (sub-diagonal direction) of rows 2..m,
+    and the row each one perturbed, as lists indexed by paper row.
+
+    beta_i = -p_i/lam[i]; a zero lam[i] gives -p_i, and a zero lam[i-1]
+    gives -p_i*omega_{i-1} with omega_{i-1} = (-p_{i-1}*r_{i-1})^-1.  lam
+    depends on the matrix alone, so one pass serves every block.
     """
-    m, qq, pp, rr = padded_bands(c3)
-    if not 1 <= block_top <= block_bottom <= m:
-        raise ValueError("block bounds must satisfy 1 <= top <= bottom <= m")
-    g = fresh_block_g(block_bottom, qq)
-    for i in range(block_bottom - 1, block_top - 1, -1):
-        extend_g(g, i, qq, pp, rr)
-    return g
+    m = lam.size - 2
+    beta = np.zeros(m + 1)
+    perturbed = np.zeros(m + 1, dtype=np.int64)
+    p, lam_i = pp[2 : m + 1], lam[2 : m + 1]
+    after_zero = lam[1:m] == 0.0
+    divide = ~after_zero & (lam_i != 0.0)
+    # Overflow and inf*0 are data here, as in the scalar arithmetic of the
+    # sweep; the masks keep every exact zero out of the divisions.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = -pp[1:m] * rr[1:m]
+        pert = after_zero & (d == 0.0)
+        d[pert] = -perturbation_magnitude(scale)
+        omega = np.divide(1.0, d, out=np.zeros(m - 1), where=after_zero)
+        beta[2:] = np.where(after_zero, -p * omega, -p)
+        np.divide(-p, lam_i, out=beta[2:], where=divide)
+    perturbed[2:][pert] = np.flatnonzero(pert) + 1
+    return beta.tolist(), perturbed.tolist()
 
 
-def _omega_zero_lambda(i, qq, pp, rr, scale, eps1, events):
-    """Off-diagonal scale of row i when lam[i] == 0: (-p_i*r_i)^-1, with the
-    exactly-zero denominator replaced by -eps1*scale."""
-    d = -pp[i] * rr[i]
-    if d == 0.0:
-        d = -(eps1 * scale)
-        events.append(("perturbed-zero", i))
-    return 1.0 / d
+def _beta_hat(xi, pp, rr, g, scale) -> tuple[float, int]:
+    """Right structure element beta_hat_xi (super-diagonal direction) and
+    the row it perturbed (0 for none): -r_xi/G[xi-1], with the zero rules
+    -r_xi*omega_xi for G[xi] == 0 and -r_xi for G[xi-1] == 0."""
+    g_prev = g[xi - 1]
+    if g[xi] == 0.0:
+        omega, pert = _omega_zero(-rr[xi + 1] * pp[xi + 1], xi, scale)
+        return -rr[xi] * omega, pert
+    if g_prev == 0.0:
+        return -rr[xi], 0
+    return -rr[xi] / g_prev, 0
 
 
-def _omega_zero_g(i, qq, pp, rr, scale, eps1, events):
-    """Off-diagonal scale of row i when G[i] == 0: (-r_{i+1}*p_{i+1})^-1,
-    with the exactly-zero denominator replaced by -eps1*scale."""
-    d = -rr[i + 1] * pp[i + 1]
-    if d == 0.0:
-        d = -(eps1 * scale)
-        events.append(("perturbed-zero", i))
-    return 1.0 / d
-
-
-def _diag_and_omega(i, qq, pp, rr, lam, g, scale, eps1, events):
-    """Diagonal entry B_ii and off-diagonal scale omega_i of row i.
+def _diag_and_omega(i, qq, pp, rr, lam_i, lam_next, g_i, g_prev, scale):
+    """Diagonal entry B_ii, off-diagonal scale omega_i and event label (None
+    for a routine row) of row i, from lam[i], lam[i+1], G[i] and G[i-1].
 
     Three cases: lam[i] == 0 and G[i] == 0 zero the diagonal and take omega
-    from the adjacent band products; otherwise B_ii = omega_i =
-    (lam[i+1] + G[i-1] - q_i)^-1, truncated to zero when that denominator
-    vanishes exactly (the determinant through row i is zero).
+    from the adjacent band product ("perturbed-zero" if that is exactly
+    zero); otherwise B_ii = omega_i = (lam[i+1] + G[i-1] - q_i)^-1,
+    truncated to zero when that denominator vanishes exactly (the
+    determinant through row i is zero; "truncated-diagonal").
     """
-    if is_exact_zero(lam[i]):
-        return 0.0, _omega_zero_lambda(i, qq, pp, rr, scale, eps1, events)
-    if is_exact_zero(g[i]):
-        return 0.0, _omega_zero_g(i, qq, pp, rr, scale, eps1, events)
-    den = lam[i + 1] + g[i - 1] - qq[i]
+    if lam_i == 0.0 or g_i == 0.0:
+        d = -pp[i] * rr[i] if lam_i == 0.0 else -rr[i + 1] * pp[i + 1]
+        omega, pert = _omega_zero(d, i, scale)
+        return 0.0, omega, "perturbed-zero" if pert else None
+    den = lam_next + g_prev - qq[i]
     if den == 0.0:
-        events.append(("truncated-diagonal", i))
-        return 0.0, 0.0
+        return 0.0, 0.0, "truncated-diagonal"
     b_ii = 1.0 / den
-    return b_ii, b_ii
-
-
-def _beta(xi, qq, pp, rr, lam, scale, eps1, events):
-    """Left structure element beta_xi (sub-diagonal direction)."""
-    if xi >= 2 and is_exact_zero(lam[xi - 1]):
-        return -pp[xi] * _omega_zero_lambda(xi - 1, qq, pp, rr, scale, eps1, events)
-    if is_exact_zero(lam[xi]):
-        return -pp[xi]
-    return -pp[xi] / lam[xi]
-
-
-def _beta_hat(xi, qq, pp, rr, g, scale, eps1, events):
-    """Right structure element beta_hat_xi (super-diagonal direction)."""
-    g_prev = g.get(xi - 1, np.nan)
-    g_xi = g.get(xi, np.nan)
-    if is_exact_zero(g_xi):
-        return -rr[xi] * _omega_zero_g(xi, qq, pp, rr, scale, eps1, events)
-    if is_exact_zero(g_prev):
-        return -rr[xi]
-    return -rr[xi] / g_prev
-
-
-def inverse_row(i, bottom, qq, pp, rr, lam, g, scale, eps1, events) -> np.ndarray:
-    """Row i of the block inverse over columns 1..bottom (padded, 1-based).
-
-    The diagonal follows the three-case rule of :func:`_diag_and_omega`; the
-    off-diagonal entries are telescoping products of structure elements,
-    accumulated incrementally, with zero rules: a zero lam[xi] zeroes column
-    xi below the diagonal, a zero G[xi] zeroes column xi above the diagonal,
-    a zero lam[i] zeroes the right part of row i, and a zero G[i] zeroes the
-    left part.  Products short-circuit once the running value is exactly 0.
-    """
-    row = np.zeros(bottom + 1)
-    b_ii, omega = _diag_and_omega(i, qq, pp, rr, lam, g, scale, eps1, events)
-    row[i] = b_ii
-    if not is_exact_zero(lam[i]):
-        run = omega
-        for xi in range(i + 1, bottom + 1):
-            run = run * _beta_hat(xi, qq, pp, rr, g, scale, eps1, events)
-            row[xi] = 0.0 if is_exact_zero(g.get(xi, np.nan)) else run
-            if run == 0.0:
-                break
-    if not is_exact_zero(g[i]):
-        run = omega
-        for xi in range(i - 1, 0, -1):
-            run = run * _beta(xi + 1, qq, pp, rr, lam, scale, eps1, events)
-            row[xi] = 0.0 if is_exact_zero(lam[xi]) else run
-            if run == 0.0:
-                break
-    return row
+    return b_ii, b_ii, None

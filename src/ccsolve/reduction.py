@@ -10,7 +10,7 @@ working array.  The reflectors are kept, not multiplied out: they are
 applied to the rhs, and the solution of the banded system is mapped back
 with z = Q x in O(m^2).  The dense factors Q and P are formed only when a
 caller asks for them.  The truncation of the reduced matrix to its bands is
-covered by an explicit error budget (h2 for the matrix, delta2 for the rhs).
+covered by an explicit error budget (h for the matrix, delta for the rhs).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "is_symmetric",
     "reduce_general",
     "reduce_symmetric",
-    "reduction_error_budget",
     "solve_dense",
 ]
 
@@ -110,42 +109,25 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float] | None:
     return v, alpha
 
 
-def _budget_formula(m, norm_a, norm_f, route) -> ErrorBudget:
-    eps_r = 29.0 * EPS1
-    zero_r = (2.0 * m + 2.0 * np.sqrt(m)) * EPS0
-    if route == "bidiagonal":
-        count = 2.0 * m - 3.0
-        den = 1.0 - (m - 2.0) * eps_r
-    elif route == "tridiagonal":
-        count = 2.0 * m - 4.0
-        den = 1.0 - (m - 2.5) * eps_r
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    if den <= 0.0:
-        raise ValueError(f"order {m} too large for the error-budget formula")
-    h2 = count * eps_r / den * norm_a + count * np.sqrt(m) * zero_r / den
-    delta2 = eps_r * norm_f + zero_r
-    return ErrorBudget(h=h2, delta=delta2, h2=h2, delta2=delta2)
-
-
-def reduction_error_budget(
-    m: int,
-    norm_a: float,
-    norm_f: float,
-    route: str = "bidiagonal",
-) -> ErrorBudget:
-    """Truncation budget of the orthogonal reduction: h2 bounds the Euclidean
-    distance between the computed band matrix and an exact orthogonal
-    transform of the input, delta2 the same for the right-hand side."""
-    if m < 3:
-        raise ValueError("the error-budget formulas require m >= 3")
-    return _budget_formula(m, norm_a, norm_f, route)
-
-
-def _route_budget(m, norm_a, norm_f, route) -> ErrorBudget:
+def _reduction_budget(m, norm_a, norm_f, route) -> ErrorBudget:
+    """Truncation budget of the orthogonal reduction to the route's band form
+    ("tridiagonal" or "bidiagonal"): h bounds the Euclidean distance between
+    the computed band matrix and an exact orthogonal transform of the input,
+    delta the same for the right-hand side.  Zero below order 2, where no
+    reflector is applied."""
     if m < 2:
         return ErrorBudget()
-    return _budget_formula(m, norm_a, norm_f, route)
+    eps_r = 29.0 * EPS1
+    zero_r = (2.0 * m + 2.0 * np.sqrt(m)) * EPS0
+    # reflector applications 2m - c, and the shift s of 1 - (m - s)*eps_r
+    c, s = {"bidiagonal": (3.0, 2.0), "tridiagonal": (4.0, 2.5)}[route]
+    count = 2.0 * m - c
+    den = 1.0 - (m - s) * eps_r
+    if den <= 0.0:
+        raise ValueError(f"order {m} too large for the error-budget formula")
+    h = count * eps_r / den * norm_a + count * np.sqrt(m) * zero_r / den
+    delta = eps_r * norm_f + zero_r
+    return ErrorBudget(h=h, delta=delta)
 
 
 def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
@@ -176,7 +158,7 @@ def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
     c3 = TridiagonalMatrix(
         np.diag(arr).copy(), np.diag(arr, -1).copy(), np.diag(arr, 1).copy()
     )
-    budget = _route_budget(
+    budget = _reduction_budget(
         m, frobenius_norm(a), float(np.linalg.norm(f)), "tridiagonal"
     )
     return ReductionResult(
@@ -216,7 +198,7 @@ def reduce_general(a: DenseMatrix, f) -> ReductionResult:
             block -= np.outer(block @ v, 2.0 * v)
             right.append((k + 1, v))
     c2 = BidiagonalMatrix(np.diag(arr).copy(), np.diag(arr, 1).copy())
-    budget = _route_budget(
+    budget = _reduction_budget(
         m, frobenius_norm(a), float(np.linalg.norm(f)), "bidiagonal"
     )
     return ReductionResult(

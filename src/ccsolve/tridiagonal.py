@@ -5,8 +5,8 @@ block inverse is never formed: its product with y, its entry in the block's
 bottom column and its largest entry come from Horner chains over the
 structure elements (a global forward chain over beta for the part left of
 the diagonal, a block-local backward chain over beta_hat for the part to
-the right), so a solve takes O(m) time and memory.  The explicit rows of
-:func:`minors.inverse_row` are the oracle the tests compare against.
+the right), so a solve takes O(m) time and memory.  The explicit rows that
+``tests/explicit_minors.py`` builds are the oracle the tests compare against.
 
 Each candidate component is screened by a growth test on its coupling
 correction and by a discrepancy probe on the row below; a failed screen
@@ -45,12 +45,11 @@ from .matrices import (
     norm_inf,
 )
 from .minors import (
-    _beta,
     _beta_hat,
     _diag_and_omega,
     band_scale,
+    beta_sequence,
     extend_g,
-    fresh_block_g,
     lambda_sequence,
     padded_bands,
     perturbation_magnitude,
@@ -113,13 +112,11 @@ class BlockPartition:
 @dataclass(frozen=True)
 class ErrorBudget:
     """Data perturbation bounds: h for the matrix, delta for the right-hand
-    side, with the components h2 and delta2 that the band truncation of a
-    dense reduction contributes (zero for a rounding-only budget)."""
+    side (representation rounding of a banded solve, or the band truncation
+    of a dense reduction)."""
 
     h: float = 0.0
     delta: float = 0.0
-    h2: float = 0.0
-    delta2: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -258,7 +255,8 @@ class _RowSweep:
 
     Row i of the inverse of a block ending at l_k is b_ii on the diagonal
     and omega_i times a telescoping product of structure elements elsewhere
-    (see minors.inverse_row).  Its product with y is therefore
+    (``inverse_row`` in tests/explicit_minors.py builds it explicitly, the
+    oracle of this class).  Its product with y is therefore
     b_ii*y_i + omega_i*(H_i + F_i), with two Horner chains:
 
     - F_i = beta_i*(u_{i-1}*y_{i-1} + F_{i-1}) covers columns 1..i-1.  lam is
@@ -280,26 +278,28 @@ class _RowSweep:
 
     def __init__(self, c3: TridiagonalMatrix | BidiagonalMatrix, y: np.ndarray):
         m, qq, pp, rr = padded_bands(c3)
-        qq, pp, rr = qq.tolist(), pp.tolist(), rr.tolist()
-        lam = lambda_sequence(c3).tolist()
+        lam = lambda_sequence(c3)
+        self.scale = band_scale(c3)
+        beta, first = beta_sequence(lam, pp, rr, self.scale)
+        qq, pp, rr, lam = qq.tolist(), pp.tolist(), rr.tolist(), lam.tolist()
         yy = [math.nan] + (y.tolist() if y.ndim == 1 else list(y))
         self.qq, self.pp, self.rr, self.lam, self.yy = qq, pp, rr, lam, yy
-        self.scale = band_scale(c3)
         # per column i: the perturbed row of beta_i and the F chain state
-        self.left_first = first = [0] * (m + 1)
+        self.left_first = first
         self.left = left = [(0.0, 0.0, 0)] * (m + 1)
         for i in range(2, m + 1):
-            ev: list = []
-            beta = _beta(i, qq, pp, rr, lam, self.scale, EPS1, ev)
-            first[i] = ev[0][1] if ev else 0
             unmasked = lam[i - 1] != 0.0
-            left[i] = _chain_step(beta, first[i], unmasked, yy[i - 1], left[i - 1])
+            left[i] = _chain_step(beta[i], first[i], unmasked, yy[i - 1], left[i - 1])
+        # G of the current block, indexed by paper row; each block rewrites
+        # the entries from its bottom row down, so one list serves them all
+        self.g = [math.nan] * (m + 1)
         self.open_block(m)
 
     def open_block(self, bottom: int):
         """Start a block whose bottom (and current top) row is bottom."""
         self.bottom = bottom
-        self.g = fresh_block_g(bottom, self.qq)
+        self.g[bottom] = 1.0
+        self.g[bottom - 1] = self.qq[bottom]
         self.right = (0.0, 0.0, 0)
         self.right_first = 0
         self.right_corner = 1.0
@@ -308,9 +308,7 @@ class _RowSweep:
         """Move the current block's top row down to i."""
         qq, pp, rr, g = self.qq, self.pp, self.rr, self.g
         extend_g(g, i, qq, pp, rr)
-        ev: list = []
-        beta_hat = _beta_hat(i + 1, qq, pp, rr, g, self.scale, EPS1, ev)
-        self.right_first = ev[0][1] if ev else 0
+        beta_hat, self.right_first = _beta_hat(i + 1, pp, rr, g, self.scale)
         self.right = _chain_step(
             beta_hat, self.right_first, g[i + 1] != 0.0, self.yy[i + 1], self.right
         )
@@ -323,13 +321,13 @@ class _RowSweep:
         the entry in column l_k, the largest entry magnitude, the row's
         events, and whether it is structurally degenerate (an event, or an
         exact zero at lam[i] or G[i]).  The zero rules gate each side as in
-        inverse_row: lam[i] == 0 drops the right side, G[i] == 0 the left.
+        the explicit row: lam[i] == 0 drops the right side, G[i] == 0 the left.
         """
         lam, g = self.lam, self.g
-        events: list = []
-        b_ii, omega = _diag_and_omega(
-            i, self.qq, self.pp, self.rr, lam, g, self.scale, EPS1, events
+        b_ii, omega, label = _diag_and_omega(
+            i, self.qq, self.pp, self.rr, lam[i], lam[i + 1], g[i], g[i - 1], self.scale
         )
+        events = [(label, i)] if label else []
         x_i = b_ii * self.yy[i]
         rho_i = abs(b_ii)
         corner = b_ii
@@ -355,20 +353,22 @@ class _RowSweep:
     def severed_row(self, j: int, lam_j: float):
         """Row j as a one-row block whose local sequence restarts at j, with
         lam_local[j] = 1 and lam_local[j+1] = q_j - p_j*r_j/lam_j (lam_j
-        nonzero).  Only beta_j changes on the left, so the chain F_{j-1} is
-        reused.  Returns (x_j, b_jj, rho_j); the row's events are dropped."""
+        nonzero), and G[j] = 1, G[j-1] = q_j.  Only beta_j changes on the
+        left: it is the global beta_j where lam[j-1] == 0, so the chain F_j
+        serves as it is, and -p_j/lam_local[j] = -p_j on F_{j-1} otherwise.
+        Returns (x_j, b_jj, rho_j); the row's events are dropped."""
         qq, pp, rr, lam = self.qq, self.pp, self.rr, self.lam
-        lam_local = {j - 1: lam[j - 1], j: 1.0, j + 1: qq[j] - pp[j] * rr[j] / lam_j}
-        b_jj, omega = _diag_and_omega(
-            j, qq, pp, rr, lam_local, fresh_block_g(j, qq), self.scale, EPS1, []
+        lam_next = qq[j] - pp[j] * rr[j] / lam_j
+        b_jj, omega, _ = _diag_and_omega(
+            j, qq, pp, rr, 1.0, lam_next, 1.0, qq[j], self.scale
         )
         x_j = b_jj * self.yy[j]
         rho_j = abs(b_jj)
         if j > 1:
-            beta_j = _beta(j, qq, pp, rr, lam_local, self.scale, EPS1, [])
-            state = _chain_step(
-                beta_j, 0, lam[j - 1] != 0.0, self.yy[j - 1], self.left[j - 1]
-            )
+            if lam[j - 1] == 0.0:
+                state = self.left[j]
+            else:
+                state = _chain_step(-pp[j], 0, True, self.yy[j - 1], self.left[j - 1])
             part, part_max, _ = _row_part(omega, 0, state)
             x_j += part
             rho_j = max(rho_j, part_max)

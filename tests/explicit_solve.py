@@ -3,7 +3,8 @@
 - ``explicit_solve_cc_tridiagonal``: the block-separation loop as it stood
   before the O(m) sweep replaced it, kept verbatim apart from its name, its
   docstring and the fixed float64 precision (EPS1 in place of a precision
-  argument).
+  argument).  Its inverse rows and G sequences come from the oracles of
+  ``explicit_minors``.
 - ``explicit_pseudo_inverse``: the column loop, one solve per unit column,
   as it stood before the lock-step pseudo-inverse replaced it.
 - ``explicit_lambda_sequence``: the minor-ratio recurrence on numpy scalars
@@ -20,10 +21,6 @@ import numpy as np
 from ccsolve.matrices import EPS1, DenseMatrix, TridiagonalMatrix
 from ccsolve.minors import (
     band_scale,
-    extend_g,
-    fresh_block_g,
-    inverse_row,
-    is_exact_zero,
     lambda_sequence,
     padded_bands,
     perturbation_magnitude,
@@ -37,6 +34,7 @@ from ccsolve.tridiagonal import (
     rounding_budget,
     solve_cc_tridiagonal,
 )
+from explicit_minors import extend_g, fresh_block_g, inverse_row, is_exact_zero
 
 
 def explicit_lambda_sequence(c3) -> np.ndarray:

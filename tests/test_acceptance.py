@@ -19,11 +19,12 @@ from ccsolve.matrices import (
     matvec,
     norm_inf,
 )
-from ccsolve.minors import g_sequence, lambda_sequence
+from ccsolve.minors import lambda_sequence
 from ccsolve.reduction import reduce_general, reduce_symmetric, solve_dense
 from ccsolve.systems import generate_system
 from ccsolve.tridiagonal import pseudo_inverse_tridiagonal, solve_cc_tridiagonal
 from ccsolve.tridiagonal import solve_cc_bidiagonal
+from explicit_minors import g_sequence
 
 EPS1 = 2.0 ** -52
 WELL_POSED_LIMIT = 1.0 / np.sqrt(EPS1)
@@ -299,7 +300,7 @@ def test_a9_reduction_invariants(capsys):
         c = dense_array(red.matrix)
         worst_drift = max(worst_drift,
                           abs(np.linalg.norm(c, "fro") - np.linalg.norm(arr, "fro"))
-                          / red.budget.h2)
+                          / red.budget.h)
         sa = np.linalg.svd(arr, compute_uv=False)
         sc = np.linalg.svd(c, compute_uv=False)
         worst_sv = max(worst_sv, np.max(np.abs(sa - sc)) / sa[0] / 1e-10)
@@ -311,7 +312,7 @@ def test_a9_reduction_invariants(capsys):
         c2 = dense_array(red2.matrix)
         worst_drift = max(worst_drift,
                           abs(np.linalg.norm(c2, "fro") - np.linalg.norm(sym, "fro"))
-                          / red2.budget.h2)
+                          / red2.budget.h)
         sa2 = np.linalg.svd(sym, compute_uv=False)
         sc2 = np.linalg.svd(c2, compute_uv=False)
         worst_sv = max(worst_sv, np.max(np.abs(sa2 - sc2)) / sa2[0] / 1e-10)

@@ -1,19 +1,29 @@
-"""Tests for the corner minor-ratio sequences and block inverse rows."""
+"""Tests for the corner minor-ratio sequences and block inverse rows.
+
+The block inverse rows and the G sequences come from the oracles of
+``explicit_minors``; ``ccsolve.minors`` holds what the sweep reads.
+"""
+
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ccsolve.matrices import BidiagonalMatrix, TridiagonalMatrix, dense_array, norm_inf
+import explicit_minors as oracle
 from ccsolve.minors import (
+    _beta_hat,
+    _diag_and_omega,
     band_scale,
-    fresh_block_g,
-    g_sequence,
-    inverse_row,
+    beta_sequence,
     lambda_sequence,
     padded_bands,
 )
+from ccsolve.tridiagonal import _RowSweep
+from explicit_minors import fresh_block_g, g_sequence, inverse_row
 from explicit_solve import explicit_lambda_sequence
+from test_sweep import degenerate_inputs
 
 EPS1 = 2.0 ** -52
 
@@ -175,3 +185,78 @@ def test_lambda_sequence_matches_numpy_scalar_loop():
         assert lam.tobytes() == explicit_lambda_sequence(w).tobytes()
         zeros += int(np.sum(lam == 0.0))
     assert zeros > 1000
+
+
+def decade_bands(seed, count):
+    """Bands of both types with entries +-10^U(-200, 200), a fifth of them
+    exact zeros: the structure elements overflow, underflow and hit the
+    zero rules."""
+    rng = np.random.default_rng(seed)
+
+    def band(n):
+        v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-200.0, 200.0, n)
+        v[rng.random(n) < 0.2] = 0.0
+        return v
+
+    for t in range(count):
+        m = int(rng.integers(1, 41))
+        if t % 3 == 2:
+            yield BidiagonalMatrix(q=band(m), r=band(m - 1))
+        else:
+            yield TridiagonalMatrix(q=band(m), p=band(m - 1), r=band(m - 1))
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_structure_elements_match_scalar_oracles():
+    # beta over the whole matrix, the list G of every block bottom, and
+    # beta_hat, B_ii and omega of every row of every block are bit-equal to
+    # the scalar oracles, NaN markers and perturbed rows included.
+    bands = [w for w, _ in degenerate_inputs(13, 150)] + list(decade_bands(14, 150))
+    zeros = nans = perturbed_rows = 0
+    for w in bands:
+        m, qq, pp, rr = padded_bands(w)
+        lam = lambda_sequence(w)
+        scale = band_scale(w)
+        beta, perturbed = beta_sequence(lam, pp, rr, scale)
+        qq, pp, rr, lam = qq.tolist(), pp.tolist(), rr.tolist(), lam.tolist()
+        for i in range(2, m + 1):
+            events: list = []
+            ref = oracle._beta(i, qq, pp, rr, lam, scale, EPS1, events)
+            assert _bits(beta[i]) == _bits(ref)
+            assert perturbed[i] == (events[0][1] if events else 0)
+            perturbed_rows += bool(events)
+        sweep = _RowSweep(w, np.zeros(m))
+        g = sweep.g
+        for bottom in range(m, 0, -1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the oracle runs on numpy scalars, which warn on overflow
+                ref_g = oracle.g_sequence(w, 1, bottom)
+            ref_g = {k: float(v) for k, v in ref_g.items()}
+            sweep.open_block(bottom)
+            for i in range(bottom, 0, -1):
+                if i < bottom:
+                    sweep.extend(i)
+                    events = []
+                    ref = oracle._beta_hat(
+                        i + 1, qq, pp, rr, ref_g, scale, EPS1, events
+                    )
+                    value, row = _beta_hat(i + 1, pp, rr, g, scale)
+                    assert _bits(value) == _bits(ref)
+                    assert row == (events[0][1] if events else 0)
+                events = []
+                ref = oracle._diag_and_omega(
+                    i, qq, pp, rr, lam, ref_g, scale, EPS1, events
+                )
+                b_ii, omega, label = _diag_and_omega(
+                    i, qq, pp, rr, lam[i], lam[i + 1], g[i], g[i - 1], scale
+                )
+                assert _bits(b_ii, omega) == _bits(*ref)
+                assert events == ([(label, i)] if label else [])
+            ref_list = [ref_g[k] for k in range(bottom + 1)]
+            assert _bits(*g[: bottom + 1]) == _bits(*ref_list)
+            zeros += ref_list.count(0.0)
+            nans += sum(math.isnan(v) for v in ref_list)
+    assert zeros > 5000 and nans > 5000 and perturbed_rows > 200

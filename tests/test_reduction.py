@@ -18,11 +18,12 @@ from ccsolve.reduction import (
     backmap,
     is_symmetric,
     reduce_general,
+    _reduction_budget,
     reduce_symmetric,
-    reduction_error_budget,
     solve_dense,
 )
 from ccsolve.systems import classify, generate_system
+from ccsolve.tridiagonal import ErrorBudget
 from explicit_reduction import explicit_reduce_general, explicit_reduce_symmetric
 
 EPS1 = 2.0 ** -52
@@ -95,7 +96,7 @@ def test_frobenius_norm_invariance_within_budget():
         red = reduce_general(DenseMatrix(arr), rng.standard_normal(m))
         drift = abs(np.linalg.norm(dense_array(red.matrix), "fro")
                     - np.linalg.norm(arr, "fro"))
-        assert drift <= red.budget.h2
+        assert drift <= red.budget.h
 
 
 def test_singular_values_preserved():
@@ -129,15 +130,13 @@ def test_already_banded_input_gets_identity_factors():
 def test_budget_reference_value_and_validation():
     # Bidiagonal route at m=3, unit Frobenius norm: 3 reflector applications
     # at 29*eps1 each, barely above 87*eps1.
-    budget = reduction_error_budget(3, 1.0, 1.0, route="bidiagonal")
-    assert_allclose(budget.h2, 87.0 * EPS1, rtol=1e-10)
-    budget_t = reduction_error_budget(3, 1.0, 1.0, route="tridiagonal")
-    assert_allclose(budget_t.h2, 58.0 * EPS1, rtol=1e-10)
-    assert budget.delta2 >= 29.0 * EPS1
-    with pytest.raises(ValueError):
-        reduction_error_budget(2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        reduction_error_budget(4, 1.0, 1.0, route="hexagonal")
+    budget = _reduction_budget(3, 1.0, 1.0, "bidiagonal")
+    assert_allclose(budget.h, 87.0 * EPS1, rtol=1e-10)
+    budget_t = _reduction_budget(3, 1.0, 1.0, "tridiagonal")
+    assert_allclose(budget_t.h, 58.0 * EPS1, rtol=1e-10)
+    assert budget.delta >= 29.0 * EPS1
+    # Below order 2 the reductions apply no reflector: the budget is zero.
+    assert _reduction_budget(1, 1.0, 1.0, "bidiagonal") == ErrorBudget()
 
 
 def test_backmap_applies_orthogonal_factor():
@@ -228,7 +227,7 @@ def test_invariants_on_catalogued_dense_systems(m):
             assert np.max(np.abs(p @ a @ q - c)) <= m * EPS1 * np.linalg.norm(a)
             for factor in (p, q):
                 assert np.max(np.abs(factor.T @ factor - np.eye(m))) <= 10 * m * m * EPS1
-            assert abs(np.linalg.norm(c) - np.linalg.norm(a)) <= red.budget.h2
+            assert abs(np.linalg.norm(c) - np.linalg.norm(a)) <= red.budget.h
             if well:
                 z, _ = solve_dense(s.matrix, s.y, route=route)
                 delta_m = np.linalg.norm(z - s.x_exact) / np.linalg.norm(s.x_exact)

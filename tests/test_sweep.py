@@ -1,8 +1,9 @@
 """The O(m) block-separation sweep against the explicit inverse rows.
 
-Two oracles: ``minors.inverse_row``, which builds each block-inverse row
-over columns 1..l_k, and ``explicit_solve``, the solve loop that dotted
-those rows with y before the sweep replaced it.
+Two oracles: ``explicit_minors.inverse_row``, which builds each
+block-inverse row over columns 1..l_k from the G sequence of
+``explicit_minors.g_sequence``, and ``explicit_solve``, the solve loop that
+dotted those rows with y before the sweep replaced it.
 """
 
 import math
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from ccsolve.matrices import TridiagonalMatrix, matvec
-from ccsolve.minors import fresh_block_g, inverse_row
 from ccsolve.tridiagonal import _RowSweep, solve_cc_tridiagonal
+from explicit_minors import fresh_block_g, g_sequence, inverse_row
 from explicit_solve import explicit_solve_cc_tridiagonal
 
 EPS1 = 2.0 ** -52
@@ -39,9 +40,10 @@ def _close(new, old, scale, m):
     return abs(new - old) <= 4 * (m + 2) * EPS1 * scale
 
 
-def _explicit_row_check(sweep, i, y):
-    """Compare sweep.row(i) with inverse_row over the same lam and G."""
-    m, bottom, lam, g = len(y), sweep.bottom, sweep.lam, sweep.g
+def _explicit_row_check(sweep, i, y, g):
+    """Compare sweep.row(i) with inverse_row over the same lam and the
+    oracle G of the block [.., bottom]."""
+    m, bottom, lam = len(y), sweep.bottom, sweep.lam
     x_i, corner, rho_i, events, degenerate = sweep.row(i)
     ref_events: list = []
     row = inverse_row(i, bottom, sweep.qq, sweep.pp, sweep.rr, lam, g,
@@ -68,11 +70,12 @@ def test_rows_match_explicit_inverse_rows():
         m = w.m
         sweep = _RowSweep(w, y)
         for bottom in range(m, 0, -1):
+            g = g_sequence(w, 1, bottom)
             sweep.open_block(bottom)
             for i in range(bottom, 0, -1):
                 if i < bottom:
                     sweep.extend(i)
-                _explicit_row_check(sweep, i, y)
+                _explicit_row_check(sweep, i, y, g)
                 rows += 1
     assert rows > 30_000
 
