@@ -7,12 +7,17 @@ perturbation cells additionally carry the target solution shift so the
 noise-response study can be summarized per level.  Failures (a reference
 solver declining) are data: the record is kept with empty metrics and
 counted in the aggregate failure column.
+
+The report's eleven columns live in one table, ``_COLUMNS`` (CSV name,
+markdown name, AggregateRow field, averaged BenchRecord field); CSV_HEADER,
+both report formats, parse_report and the means of aggregate all read it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -54,11 +59,6 @@ __all__ = [
 ]
 
 SOLVER_IDS = ("MCC", "MCS", "GS", "QR", "SVD", "TRM")
-
-CSV_HEADER = (
-    "solver,regime,family,count,mean_delta_L,mean_delta_M,mean_delta_R,"
-    "mean_norm_xtilde,mean_norm_x,mean_time_s,failures"
-)
 
 
 @dataclass
@@ -104,6 +104,31 @@ class AggregateRow:
     failures: int
 
 
+class _Column(NamedTuple):
+    csv: str
+    markdown: str
+    field: str  # of AggregateRow
+    mean_of: str | None  # the BenchRecord field averaged; None for keys and counts
+
+
+_COLUMNS = (
+    _Column("solver", "solver", "solver_id", None),
+    _Column("regime", "regime", "regime", None),
+    _Column("family", "family", "family", None),
+    _Column("count", "count", "count", None),
+    _Column("mean_delta_L", "mean δ_L", "mean_delta_l", "delta_l"),
+    _Column("mean_delta_M", "mean δ_M", "mean_delta_m", "delta_m"),
+    _Column("mean_delta_R", "mean δ_R", "mean_delta_r", "delta_r"),
+    _Column("mean_norm_xtilde", "mean ‖x̃‖", "mean_norm_xtilde", "norm_xtilde"),
+    _Column("mean_norm_x", "mean ‖x‖", "mean_norm_x", "norm_x"),
+    _Column("mean_time_s", "mean t(s)", "mean_time_s", "wall_time_s"),
+    _Column("failures", "failures", "failures", None),
+)
+
+CSV_HEADER = ",".join(col.csv for col in _COLUMNS)
+_FIELD_TYPES = get_type_hints(AggregateRow)  # parses a CSV value per field
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Tunable knobs forwarded to the individual solvers."""
@@ -132,35 +157,34 @@ def _grid(system_ids, orders):
 
 
 PROFILES: dict[str, Profile] = {
-    "smoke": Profile(
-        name="smoke",
-        cells=((5, 3), (9, 3), (10, 3)),
-        solvers=("MCC", "GS"),
-    ),
-    "small": Profile(
-        name="small",
-        cells=_grid(range(1, 11), (3, 5, 10, 20, 50))
-        + _grid(range(11, 21), (3, 5, 8)),
-    ),
-    "table13-small": Profile(
-        name="table13-small",
-        perturbed=tuple(
-            (17, m, level, 50)
-            for m in (3, 4, 5, 6)
-            for level in (0.10, 0.20, 0.30, 0.39, 0.60)
+    prof.name: prof
+    for prof in (
+        Profile("smoke", cells=((5, 3), (9, 3), (10, 3)), solvers=("MCC", "GS")),
+        Profile(
+            "small",
+            cells=_grid(range(1, 11), (3, 5, 10, 20, 50))
+            + _grid(range(11, 21), (3, 5, 8)),
         ),
-        solvers=("MCC", "MCS", "GS", "QR", "SVD"),
-    ),
-    "pathological": Profile(
-        name="pathological",
-        cells=((20, 4), (20, 6), (20, 8), (17, 12), (17, 13)),
-        emulate_svd=True,
-    ),
-    "paper-like": Profile(
-        name="paper-like",
-        cells=_grid(range(1, 11), (3, 5, 10, 20, 50, 100, 200))
-        + _grid(range(11, 21), (3, 5, 8, 13, 21)),
-    ),
+        Profile(
+            "table13-small",
+            perturbed=tuple(
+                (17, m, level, 50)
+                for m in (3, 4, 5, 6)
+                for level in (0.10, 0.20, 0.30, 0.39, 0.60)
+            ),
+            solvers=("MCC", "MCS", "GS", "QR", "SVD"),
+        ),
+        Profile(
+            "pathological",
+            cells=((20, 4), (20, 6), (20, 8), (17, 12), (17, 13)),
+            emulate_svd=True,
+        ),
+        Profile(
+            "paper-like",
+            cells=_grid(range(1, 11), (3, 5, 10, 20, 50, 100, 200))
+            + _grid(range(11, 21), (3, 5, 8, 13, 21)),
+        ),
+    )
 }
 
 
@@ -169,11 +193,12 @@ def _metrics(x_tilde, x_exact, w, y, smin):
     if x_norm == 0.0:
         raise ValueError("exact solution has zero norm")
     x_tilde = np.asarray(x_tilde, dtype=float)
-    delta_l = abs(float(np.linalg.norm(x_tilde)) - x_norm) / x_norm
+    norm_xtilde = float(np.linalg.norm(x_tilde))
+    delta_l = abs(norm_xtilde - x_norm) / x_norm
     delta_m = float(np.linalg.norm(x_tilde - x_exact)) / x_norm
     residual = float(np.linalg.norm(matvec(w, x_tilde) - np.asarray(y, dtype=float)))
     delta_r = np.inf if smin == 0.0 else residual / smin / x_norm
-    return delta_l, delta_m, delta_r, residual
+    return delta_l, delta_m, delta_r, residual, norm_xtilde
 
 
 def error_metrics(x_tilde, x_exact, w: Matrix, y) -> tuple[float, float, float]:
@@ -183,13 +208,7 @@ def error_metrics(x_tilde, x_exact, w: Matrix, y) -> tuple[float, float, float]:
     delta_R = ||W^-1||_2 * ||W x_tilde - y|| / ||x|| (spectral norm from the
     SVD oracle; infinite for an exactly singular matrix)."""
     _, smin = _singular_extremes(w)
-    delta_l, delta_m, delta_r, _ = _metrics(x_tilde, x_exact, w, y, smin)
-    return delta_l, delta_m, delta_r
-
-
-def _cc_note(solution) -> str:
-    labels = sorted({label for label, _ in solution.events})
-    return ",".join(labels)
+    return _metrics(x_tilde, x_exact, w, y, smin)[:3]
 
 
 def mcs_applicable(w: Matrix) -> bool:
@@ -217,14 +236,16 @@ def _solve_one(
     thresholds = dict(
         phi_threshold=opts.phi_threshold, growth_threshold=opts.growth_threshold
     )
-    if solver_id == "MCC" and isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
-        inner = solve_cc_tridiagonal(w, y, **thresholds)
-        outcome = SolverOutcome(solver_id, inner.x_plus, _cc_note(inner))
-    elif solver_id in ("MCC", "MCS"):
-        route = "general" if solver_id == "MCC" else "symmetric"
-        x, diag = solve_dense(w, y, route=route, **thresholds)
-        inner = diag.inner
-        outcome = SolverOutcome(solver_id, x, _cc_note(inner))
+    if solver_id in ("MCC", "MCS"):
+        if solver_id == "MCC" and isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
+            inner = solve_cc_tridiagonal(w, y, **thresholds)
+            x = inner.x_plus
+        else:
+            route = "general" if solver_id == "MCC" else "symmetric"
+            x, diag = solve_dense(w, y, route=route, **thresholds)
+            inner = diag.inner
+        labels = sorted({label for label, _ in inner.events})
+        outcome = SolverOutcome(solver_id, x, ",".join(labels))
     elif solver_id == "GS":
         outcome = solve_gauss(w, y)
     elif solver_id == "QR":
@@ -256,66 +277,62 @@ def _system_info(system: TestSystem) -> _SystemInfo:
 
 
 def _run_cell(
-    solve_system: TestSystem,
-    base_system: TestSystem,
+    solved: TestSystem,
+    base: TestSystem,
     solver_id: str,
     info: _SystemInfo,
     opts: SolverOptions,
     timing: bool,
     target_dx: float | None,
-) -> BenchRecord | None:
-    if solver_id == "MCS" and not mcs_applicable(solve_system.matrix):
-        return None
+) -> BenchRecord:
     t0 = time.perf_counter()
-    try:
-        with _overflow_is_data():
-            outcome, _ = _solve_one(
-                solver_id, solve_system.matrix, solve_system.y, opts
-            )
-    except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
-        outcome = SolverOutcome(solver_id, None, f"error: {exc}")
-    wall = time.perf_counter() - t0 if timing else 0.0
-    x_exact = base_system.x_exact
-    y = base_system.y
-    norm_x = float(np.linalg.norm(x_exact))
-    y_norm = float(np.linalg.norm(y))
-    common = dict(
-        system_id=base_system.id,
-        m=base_system.m,
+    with _overflow_is_data():
+        try:
+            outcome, _ = _solve_one(solver_id, solved.matrix, solved.y, opts)
+        except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
+            outcome = SolverOutcome(solver_id, None, f"error: {exc}")
+        wall = time.perf_counter() - t0 if timing else 0.0
+        metrics = (None,) * 5
+        if not outcome.failed:
+            metrics = _metrics(outcome.x, base.x_exact, base.matrix, base.y, info.smin)
+    delta_l, delta_m, delta_r, residual, norm_xtilde = metrics
+    return BenchRecord(
+        system_id=base.id,
+        m=base.m,
         solver_id=solver_id,
         regime=info.regime,
         mu=info.mu,
-        norm_x=norm_x,
-        y_norm=y_norm,
-        wall_time_s=wall,
-        notes=outcome.note,
-        family=base_system.family,
-        target_dx=target_dx,
-    )
-    if outcome.failed:
-        return BenchRecord(
-            delta_l=None,
-            delta_m=None,
-            delta_r=None,
-            norm_xtilde=None,
-            residual_norm=None,
-            failed=True,
-            **common,
-        )
-    with _overflow_is_data():
-        delta_l, delta_m, delta_r, residual = _metrics(
-            outcome.x, x_exact, base_system.matrix, y, info.smin
-        )
-        norm_xtilde = float(np.linalg.norm(outcome.x))
-    return BenchRecord(
         delta_l=delta_l,
         delta_m=delta_m,
         delta_r=delta_r,
         norm_xtilde=norm_xtilde,
+        norm_x=float(np.linalg.norm(base.x_exact)),
         residual_norm=residual,
-        failed=False,
-        **common,
+        y_norm=float(np.linalg.norm(base.y)),
+        wall_time_s=wall,
+        failed=outcome.failed,
+        notes=outcome.note,
+        family=base.family,
+        target_dx=target_dx,
     )
+
+
+def _cases(prof: Profile, seed: int):
+    """Yield (system solved, unperturbed base, oracle info, target shift) for
+    the plain cells first, then for each perturbed repetition.  A repetition
+    draws one seeded perturbation, shared by all solvers of that repetition,
+    and the oracle info is that of its base."""
+    for system_id, m in prof.cells:
+        system = generate_system(system_id, m)
+        yield system, system, _system_info(system), None
+    counter = 0
+    for system_id, m, level, reps in prof.perturbed:
+        base = generate_system(system_id, m)
+        info = _system_info(base)
+        for _ in range(reps):
+            counter += 1
+            perturbed, _delta_y = perturb_solution(base, level, seed + counter)
+            yield perturbed, base, info, level
 
 
 def run_suite(
@@ -331,15 +348,12 @@ def run_suite(
 
     Perturbation cells draw one seeded perturbation per repetition (shared by
     all solvers of that repetition) and measure the recovered solution
-    against the unperturbed exact solution.
+    against the unperturbed exact solution.  MCS runs only on cells whose
+    matrix is dense and symmetric.
     """
-    if isinstance(profile, str):
-        try:
-            prof = PROFILES[profile]
-        except KeyError:
-            raise ValueError(f"unknown profile {profile!r}") from None
-    else:
-        prof = profile
+    prof = PROFILES.get(profile) if isinstance(profile, str) else profile
+    if prof is None:
+        raise ValueError(f"unknown profile {profile!r}")
     solver_list = tuple(solvers) if solvers is not None else prof.solvers
     for sid in solver_list:
         if sid not in SOLVER_IDS:
@@ -348,25 +362,12 @@ def run_suite(
         opts = SolverOptions()
     if prof.emulate_svd and not opts.emulate_svd:
         opts = replace(opts, emulate_svd=True)
-    records: list[BenchRecord] = []
-    for system_id, m in prof.cells:
-        system = generate_system(system_id, m)
-        info = _system_info(system)
-        for sid in solver_list:
-            rec = _run_cell(system, system, sid, info, opts, timing, None)
-            if rec is not None:
-                records.append(rec)
-    counter = 0
-    for system_id, m, level, reps in prof.perturbed:
-        base = generate_system(system_id, m)
-        info = _system_info(base)
-        for _ in range(reps):
-            counter += 1
-            perturbed, _delta_y = perturb_solution(base, level, seed + counter)
-            for sid in solver_list:
-                rec = _run_cell(perturbed, base, sid, info, opts, timing, level)
-                if rec is not None:
-                    records.append(rec)
+    records = [
+        _run_cell(solved, base, sid, info, opts, timing, target_dx)
+        for solved, base, info, target_dx in _cases(prof, seed)
+        for sid in solver_list
+        if sid != "MCS" or mcs_applicable(solved.matrix)
+    ]
     records.sort(key=lambda r: (r.system_id, r.m, r.solver_id))
     return records
 
@@ -386,22 +387,16 @@ def aggregate(records) -> list[AggregateRow]:
     for rec in records:
         groups.setdefault((rec.solver_id, rec.regime, rec.family), []).append(rec)
     rows = []
-    for (solver_id, regime, family), recs in sorted(groups.items()):
+    for key, recs in sorted(groups.items()):
         ok = [r for r in recs if not r.failed]
+        means = {
+            col.field: _mean_of(getattr(r, col.mean_of) for r in ok)
+            for col in _COLUMNS
+            if col.mean_of
+        }
+        # the group key is the row's leading (solver_id, regime, family)
         rows.append(
-            AggregateRow(
-                solver_id=solver_id,
-                regime=regime,
-                family=family,
-                count=len(ok),
-                mean_delta_l=_mean_of(r.delta_l for r in ok),
-                mean_delta_m=_mean_of(r.delta_m for r in ok),
-                mean_delta_r=_mean_of(r.delta_r for r in ok),
-                mean_norm_xtilde=_mean_of(r.norm_xtilde for r in ok),
-                mean_norm_x=_mean_of(r.norm_x for r in ok),
-                mean_time_s=_mean_of(r.wall_time_s for r in ok),
-                failures=len(recs) - len(ok),
-            )
+            AggregateRow(*key, count=len(ok), failures=len(recs) - len(ok), **means)
         )
     return rows
 
@@ -410,55 +405,22 @@ def emit_report(rows, format: str = "csv") -> str:
     """Render aggregate rows as CSV (fixed 11-column schema) or as a markdown
     table with the same columns."""
     if format == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.solver_id,
-                        row.regime,
-                        row.family,
-                        str(row.count),
-                        format_number(row.mean_delta_l),
-                        format_number(row.mean_delta_m),
-                        format_number(row.mean_delta_r),
-                        format_number(row.mean_norm_xtilde),
-                        format_number(row.mean_norm_x),
-                        format_number(row.mean_time_s),
-                        str(row.failures),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if format == "markdown":
-        header = (
-            "| solver | regime | family | count | mean δ_L | mean δ_M | "
-            "mean δ_R | mean ‖x̃‖ | mean ‖x‖ | mean t(s) | failures |"
-        )
-        sep = "|" + " --- |" * 11
-        lines = [header, sep]
-        for row in rows:
-            lines.append(
-                "| "
-                + " | ".join(
-                    [
-                        row.solver_id,
-                        row.regime,
-                        row.family,
-                        str(row.count),
-                        f"{row.mean_delta_l:.3e}",
-                        f"{row.mean_delta_m:.3e}",
-                        f"{row.mean_delta_r:.3e}",
-                        f"{row.mean_norm_xtilde:.3e}",
-                        f"{row.mean_norm_x:.3e}",
-                        f"{row.mean_time_s:.3e}",
-                        str(row.failures),
-                    ]
-                )
-                + " |"
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
+        lines = [CSV_HEADER] + [",".join(_cells(row, format_number)) for row in rows]
+    elif format == "markdown":
+        table = [[col.markdown for col in _COLUMNS], ["---"] * len(_COLUMNS)]
+        table += [_cells(row, "{:.3e}".format) for row in rows]
+        lines = ["| " + " | ".join(cells) + " |" for cells in table]
+    else:
+        raise ValueError(f"unknown report format {format!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _cells(row: AggregateRow, format_mean) -> list[str]:
+    """The row's values in column order, means through format_mean."""
+    return [
+        (format_mean if col.mean_of else str)(getattr(row, col.field))
+        for col in _COLUMNS
+    ]
 
 
 def parse_report(text: str) -> list[AggregateRow]:
@@ -469,21 +431,10 @@ def parse_report(text: str) -> list[AggregateRow]:
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"expected 11 fields, got {len(parts)}: {line!r}")
-        rows.append(
-            AggregateRow(
-                solver_id=parts[0],
-                regime=parts[1],
-                family=parts[2],
-                count=int(parts[3]),
-                mean_delta_l=float(parts[4]),
-                mean_delta_m=float(parts[5]),
-                mean_delta_r=float(parts[6]),
-                mean_norm_xtilde=float(parts[7]),
-                mean_norm_x=float(parts[8]),
-                mean_time_s=float(parts[9]),
-                failures=int(parts[10]),
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(
+                f"expected {len(_COLUMNS)} fields, got {len(parts)}: {line!r}"
             )
-        )
+        values = {c.field: _FIELD_TYPES[c.field](p) for c, p in zip(_COLUMNS, parts)}
+        rows.append(AggregateRow(**values))
     return rows

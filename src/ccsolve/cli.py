@@ -13,6 +13,7 @@ import numpy as np
 
 from .bench import (
     PROFILES,
+    SOLVER_IDS,
     SolverOptions,
     _overflow_is_data,
     _solve_one,
@@ -36,7 +37,7 @@ from .tridiagonal import pseudo_inverse_tridiagonal
 
 __all__ = ["main"]
 
-_SOLVER_CHOICES = ("mcc", "mcs", "gs", "qr", "svd", "trm")
+_SOLVER_CHOICES = tuple(sid.lower() for sid in SOLVER_IDS)
 
 # summary line of the reduction a dense system goes through, per solver id
 _DENSE_ROUTES = {

@@ -423,9 +423,7 @@ def solve_cc_tridiagonal(
     events: list = []
     rho = 0.0
     degenerate: set[int] = set()
-    severed: set[int] = set()
 
-    k = 0
     i = m
     new_block = True
     lk = m
@@ -434,7 +432,6 @@ def solve_cc_tridiagonal(
         if new_block:
             lk = i
             boundaries.append(lk)
-            k += 1
             sweep.open_block(lk)
             new_block = False
         else:
@@ -444,7 +441,7 @@ def solve_cc_tridiagonal(
         events.extend(row_events)
         if is_degenerate:
             degenerate.add(i)
-        phi_i = 0.0 if k == 1 else -corner * rr[lk + 1] * x_plus[lk + 1]
+        phi_i = 0.0 if lk == m else -corner * rr[lk + 1] * x_plus[lk + 1]
 
         if not all(map(math.isfinite, (x_i, phi_i, rho_i))):
             if i == lk:
@@ -465,17 +462,16 @@ def solve_cc_tridiagonal(
             row_value = pp[j] * x_i + qq[j] * x_reg[j] + rr[j + 1] * x_below
             discrepancy = probe_discrepancy(yy[j], row_value)
             if abs(discrepancy) > phi_thr:
-                if j == lk and j in degenerate and j not in severed:
+                if j == lk and j in degenerate:
                     # The block bottom is structurally degenerate and its own
                     # equation cannot be met: re-derive it with the coupling
                     # from below folded in through a severed local sequence.
-                    severed.add(j)
                     lam_j = lam[j]
                     if math.isnan(lam_j) or lam_j == 0.0:
                         lam_j = perturbation_magnitude(sweep.scale)
                         events.append(("perturbed-zero", j))
                     x_j, b_jj, rho_j = sweep.severed_row(j, lam_j)
-                    phi_j = 0.0 if k == 1 else -b_jj * rr[lk + 1] * x_plus[lk + 1]
+                    phi_j = 0.0 if lk == m else -b_jj * rr[lk + 1] * x_plus[lk + 1]
                     if all(map(math.isfinite, (x_j, phi_j, rho_j))):
                         x_reg[j] = x_j
                         phi_v[j] = phi_j

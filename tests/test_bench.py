@@ -191,6 +191,23 @@ def test_markdown_report_shape():
     assert lines[0].startswith("|")
 
 
+def test_report_header_and_round_trip_with_nan_and_failures():
+    # pathological has a group whose every record failed (all means nan)
+    # and groups with some failures; the CSV text survives parse and emit.
+    rows = aggregate(run_suite("pathological", seed=7))
+    assert any(row.count == 0 and np.isnan(row.mean_delta_m) for row in rows)
+    assert any(row.count > 0 and row.failures > 0 for row in rows)
+    text = emit_report(rows, format="csv")
+    assert emit_report(parse_report(text), format="csv") == text
+    markdown = emit_report(rows, format="markdown").splitlines()
+    assert markdown[0] == (
+        "| solver | regime | family | count | mean δ_L | mean δ_M | mean δ_R "
+        "| mean ‖x̃‖ | mean ‖x‖ | mean t(s) | failures |"
+    )
+    assert markdown[1] == "|" + " --- |" * 11
+    assert len(markdown) == 2 + len(rows)
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_report([], format="xml")

@@ -9,7 +9,14 @@ from numpy.testing import assert_allclose
 from ccsolve.cli import main
 from ccsolve.matrices import dense_array
 from ccsolve.systems import generate_system
-from ccsolve.textio import read_matrix, read_vector, parse_vector, write_matrix, write_vector
+from ccsolve.textio import (
+    parse_matrix,
+    parse_vector,
+    read_matrix,
+    read_vector,
+    write_matrix,
+    write_vector,
+)
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +91,60 @@ def test_solve_malformed_matrix_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_rhs_length_mismatch_exits_2(tmp_path, capsys):
+    assert main(["gen", "10", "5", "--out", str(tmp_path / "a")]) == 0
+    assert main(["gen", "10", "6", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "solve", "--matrix", str(tmp_path / "a.matrix"),
+                             "--rhs", str(tmp_path / "b.rhs"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: rhs length 6 does not match matrix order 5\n"
+
+
+def test_solve_reference_solver_prints_note(tmp_path, capsys):
+    prefix = tmp_path / "case"
+    assert main(["gen", "17", "5", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
+                             "--rhs", f"{prefix}.rhs", "--solver", "svd")
+    assert code == 0
+    summary = err.splitlines()
+    assert summary[:3] == ["solver: SVD", "m: 5", "note: numerical rank 5 of 5"]
+    assert not any(ln.startswith(("route:", "partition:")) for ln in summary)
+
+
+@pytest.mark.parametrize("sid, solver, route", [
+    (11, "mcc", "route: general (bidiagonal reduction)"),
+    (17, "mcs", "route: symmetric (tridiagonal reduction)"),
+], ids=["mcc-general", "mcs-symmetric"])
+def test_solve_dense_prints_route(tmp_path, capsys, sid, solver, route):
+    prefix = tmp_path / "case"
+    assert main(["gen", str(sid), "5", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
+                             "--rhs", f"{prefix}.rhs", "--solver", solver)
+    assert code == 0
+    summary = err.splitlines()
+    assert summary[:3] == [f"solver: {solver.upper()}", "m: 5", route]
+    assert summary[3] == "partition: 5"
+
+
+def test_solve_banded_prints_events(tmp_path, capsys):
+    # System 10 at order 5 is singular: its bottom row is re-derived and the
+    # block splits, so the summary lists the sorted event labels.
+    prefix = tmp_path / "case"
+    assert main(["gen", "10", "5", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
+                             "--rhs", f"{prefix}.rhs")
+    assert code == 0
+    summary = err.splitlines()
+    assert "partition: 5 4" in summary
+    assert "events: probe-split,severed-bottom,truncated-diagonal" in summary
+    assert not any(ln.startswith("route:") for ln in summary)
+
+
 def test_solve_mcs_rejects_nonsymmetric(tmp_path, capsys):
     prefix = tmp_path / "case"
     assert main(["gen", "11", "4", "--out", str(prefix)]) == 0
@@ -146,6 +207,20 @@ def test_pinv_banded(tmp_path, capsys):
     s = generate_system(10, 3)
     assert_allclose(dense_array(b) @ dense_array(s.matrix), np.eye(3),
                     rtol=0, atol=1e-12)
+
+
+def test_pinv_writes_matrix_to_stdout_without_out(tmp_path, capsys):
+    prefix = tmp_path / "case"
+    assert main(["gen", "10", "5", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "pinv", "--matrix", f"{prefix}.matrix")
+    assert code == 0
+    assert err == ""
+    out_path = tmp_path / "b.matrix"
+    assert main(["pinv", "--matrix", f"{prefix}.matrix", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert out == out_path.read_text()
+    assert dense_array(parse_matrix(out)).shape == (5, 5)
 
 
 def test_pinv_dense_rejected(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Tests for the orthogonal reductions to banded form."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ccsolve.matrices import (
+    EPS0,
     BidiagonalMatrix,
     DenseMatrix,
     TridiagonalMatrix,
@@ -137,6 +140,30 @@ def test_budget_reference_value_and_validation():
     assert budget.delta >= 29.0 * EPS1
     # Below order 2 the reductions apply no reflector: the budget is zero.
     assert _reduction_budget(1, 1.0, 1.0, "bidiagonal") == ErrorBudget()
+
+
+def _exact_budget_h(m, c, s):
+    """h of the budget formula at unit norms in rational arithmetic, with
+    reflector count 2m - c and denominator 1 - (m - s)*29*eps1; sqrt(m) is
+    exact to 1e-20."""
+    eps_r = 29 * Fraction(EPS1)
+    sqrt_m = Fraction(math.isqrt(m * 10**40), 10**20)
+    zero_r = (2 * m + 2 * sqrt_m) * Fraction(EPS0)
+    count = 2 * m - Fraction(c)
+    den = 1 - (m - Fraction(s)) * eps_r
+    return float(count * (eps_r + sqrt_m * zero_r) / den)
+
+
+@pytest.mark.parametrize("route, c, s", [
+    ("bidiagonal", 3, 2), ("tridiagonal", 4, Fraction(5, 2)),
+], ids=["bidiagonal", "tridiagonal"])
+def test_budget_matches_exact_arithmetic_up_to_order_limit(route, c, s):
+    # Just below m = 1/(29*eps1) the denominator is about 1.3e-10, so moving
+    # the shift s by 0.5 moves h by 2.5e-5 relative; at m = 3 the reflector
+    # count 2m - c dominates.  Pure arithmetic: nothing of order m is built.
+    for m in (3, 2**52 // 29 - 20_000):
+        h = _reduction_budget(m, 1.0, 1.0, route).h
+        assert_allclose(h, _exact_budget_h(m, c, s), rtol=1e-9)
 
 
 def test_backmap_applies_orthogonal_factor():
