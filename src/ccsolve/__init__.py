@@ -23,6 +23,7 @@ from .matrices import (
     Matrix,
     TridiagonalMatrix,
     condition_number,
+    condition_number_inf,
     dense_array,
     frobenius_norm,
     matvec,

@@ -10,12 +10,14 @@ from ccsolve.matrices import (
     DenseMatrix,
     TridiagonalMatrix,
     condition_number,
+    condition_number_inf,
     dense_array,
     frobenius_norm,
     matvec,
     norm_inf,
     to_dense,
 )
+from ccsolve.systems import classify, generate_system
 
 EPS1 = 2.0 ** -52
 
@@ -163,6 +165,108 @@ def test_condition_number_banded_matches_dense():
     assert_allclose(condition_number(w),
                     condition_number(DenseMatrix(dense_array(w))),
                     rtol=1e-12)
+
+
+def _kappa_inf_oracle(w):
+    """||W||_inf times the largest row sum of an explicit dense inverse."""
+    inv = np.linalg.inv(dense_array(w))
+    return norm_inf(w) * float(np.max(np.sum(np.abs(inv), axis=1)))
+
+
+def test_condition_number_inf_matches_explicit_inverse_on_catalogued_systems():
+    compared = 0
+    for sid in range(1, 11):
+        for m in (3, 5, 10, 50, 200):
+            w = generate_system(sid, m).matrix
+            try:
+                oracle = _kappa_inf_oracle(w)
+            except np.linalg.LinAlgError:
+                continue
+            if oracle * m * EPS1 < 1e-3:
+                assert_allclose(condition_number_inf(w), oracle, rtol=1e-12,
+                                err_msg=f"system {sid} m={m}")
+                compared += 1
+    assert compared >= 25
+
+
+def test_condition_number_inf_matches_explicit_inverse_on_random_bands():
+    rng = np.random.default_rng(109)
+    compared = 0
+    for k in range(200):
+        m = int(rng.integers(2, 60))
+        w = random_tridiagonal(rng, m) if k % 2 else random_bidiagonal(rng, m)
+        oracle = _kappa_inf_oracle(w)
+        if oracle * m * EPS1 < 1e-3:
+            assert_allclose(condition_number_inf(w), oracle, rtol=1e-12,
+                            err_msg=f"band {k} m={m}")
+            compared += 1
+    assert compared >= 100
+
+
+@pytest.mark.parametrize("w", [
+    # the leading 2x2 minor vanishes, but the matrix is not singular
+    TridiagonalMatrix(q=[1.0, 4.0, 2.0], p=[2.0, 1.0], r=[2.0, 3.0]),
+    TridiagonalMatrix(q=[0.0, 0.0], p=[1.0], r=[1.0]),
+    # subnormal first and last pivots: dividing by them would overflow
+    TridiagonalMatrix(q=[1e-310, 1.0], p=[1.0], r=[1.0]),
+    TridiagonalMatrix(q=[1.0, 1e-310], p=[1.0], r=[1.0]),
+    BidiagonalMatrix(q=[2.0, -3.0, 0.5], r=[0.0, 7.0]),
+], ids=["zero-leading-minor", "swap", "tiny-leading-pivot", "tiny-trailing-pivot",
+        "bidiagonal"])
+def test_condition_number_inf_zero_pivots_and_small_orders(w):
+    assert_allclose(condition_number_inf(w), _kappa_inf_oracle(w), rtol=1e-12)
+
+
+def test_condition_number_inf_singular_is_infinite():
+    singular = [
+        TridiagonalMatrix(q=[1.0, 1.0, 1.0], p=[1.0, 0.0], r=[1.0, 0.0]),
+        # exactly zero two-sided pivots: inf, not a division by zero
+        TridiagonalMatrix(q=[1.0, 0.0, 1.0], p=[0.0, 0.0], r=[0.0, 0.0]),
+        BidiagonalMatrix(q=[1.0, 0.0, 2.0], r=[3.0, 4.0]),
+        TridiagonalMatrix(q=np.zeros(4), p=np.zeros(3), r=np.zeros(3)),
+        generate_system(10, 5).matrix,
+        DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0]])),
+        DenseMatrix(np.zeros((3, 3))),
+    ]
+    for w in singular:
+        assert condition_number_inf(w) == np.inf
+
+
+def test_condition_number_inf_is_scale_invariant():
+    # kappa of W is that of W/||W||_inf: 49 * (1/49) would round to 1 - eps1/2,
+    # and the inverse of a well-conditioned W near the underflow threshold
+    # would overflow
+    for w in (DenseMatrix(49.0 * np.eye(3)),
+              TridiagonalMatrix(q=np.full(3, 49.0), p=np.zeros(2), r=np.zeros(2))):
+        assert condition_number_inf(w) == 1.0
+    tiny = 1e-308
+    for w in (DenseMatrix(tiny * np.array([[1.0, 1.0], [0.0, 1.0]])),
+              BidiagonalMatrix(q=[tiny, tiny], r=[tiny])):
+        assert condition_number_inf(w) == 4.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_condition_number_inf_overflowing_inverse_is_infinite():
+    # a row sum of the inverse overflows: inf, and no RuntimeWarning
+    s = 1.67e-308
+    a = np.array([[1.0, 1.0, 0.0], [0.0, s, s], [0.0, 0.0, s]])
+    assert condition_number_inf(DenseMatrix(a)) == np.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_condition_number_inf_never_raises_on_catalogued_systems():
+    for sid in range(1, 21):
+        for m in (3, 5, 50, 200, 800):
+            kappa = condition_number_inf(generate_system(sid, m).matrix)
+            assert isinstance(kappa, float) and kappa >= 1.0, (sid, m, kappa)
+
+
+def test_condition_number_inf_regime_labels_match_svd():
+    for sid in range(1, 21):
+        for m in (5, 50, 200):
+            w = generate_system(sid, m).matrix
+            assert (classify(condition_number_inf(w)).label
+                    == classify(condition_number(w)).label), (sid, m)
 
 
 def test_precision_defaults():
