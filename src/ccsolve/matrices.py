@@ -172,6 +172,24 @@ def to_dense(w: Matrix) -> DenseMatrix:
     return w if isinstance(w, DenseMatrix) else DenseMatrix(dense_array(w))
 
 
+def band_maxima(w: TridiagonalMatrix | BidiagonalMatrix):
+    """(norm_inf(w), max|q|, max|p|, max|r|) of a band container from one
+    walk over its bands, for a solve that needs all four; an empty or absent
+    band has maximum 0."""
+    sums = np.abs(w.q)
+    max_q = float(np.max(sums))
+    max_p = max_r = 0.0
+    if w.m > 1:
+        if isinstance(w, TridiagonalMatrix):
+            abs_p = np.abs(w.p)
+            max_p = float(np.max(abs_p))
+            sums[1:] += abs_p
+        abs_r = np.abs(w.r)
+        max_r = float(np.max(abs_r))
+        sums[:-1] += abs_r
+    return float(np.max(sums)), max_q, max_p, max_r
+
+
 def norm_inf(w: Matrix) -> float:
     """Maximum absolute row sum; O(m) from the bands of a band container."""
     if isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):

@@ -16,10 +16,11 @@ Near-zero values are the business of the solver's separation probes.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
-from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix
+from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix, band_maxima
 
 __all__ = [
     "lambda_sequence",
@@ -41,12 +42,8 @@ def padded_bands(w: TridiagonalMatrix | BidiagonalMatrix):
 
 def band_scale(w: TridiagonalMatrix | BidiagonalMatrix) -> float:
     """max(1, max|p|, max|q|, max|r|), the scale used for zero perturbations."""
-    scale = max(1.0, float(np.max(np.abs(w.q))))
-    if isinstance(w, TridiagonalMatrix) and w.p.size:
-        scale = max(scale, float(np.max(np.abs(w.p))))
-    if w.r.size:
-        scale = max(scale, float(np.max(np.abs(w.r))))
-    return scale
+    _, max_q, max_p, max_r = band_maxima(w)
+    return max(1.0, max_q, max_p, max_r)
 
 
 def perturbation_magnitude(scale: float) -> float:
@@ -62,27 +59,41 @@ def lambda_sequence(c3) -> np.ndarray:
     zero: lam[i] == 0 makes lam[i+1] undefined (NaN) and lam[i+2] = q_{i+1}.
     Entries outside 2..m+1 are NaN.
     """
-    m, qq, pp, rr = padded_bands(c3)
-    qq, pp, rr = qq.tolist(), pp.tolist(), rr.tolist()
-    lam = [math.nan] * (m + 2)
-    lam[2] = qq[1]
-    for i in range(2, m + 1):
-        li = lam[i]
+    _, qq, pp, rr = padded_bands(c3)
+    return lambda_values(qq, band_products(pp, rr))
+
+
+def band_products(pp: np.ndarray, rr: np.ndarray) -> np.ndarray:
+    """prod[i] = p_i*r_i of the padded bands.  An overflow to inf is data,
+    as it is in the scalar arithmetic of the recurrences."""
+    with np.errstate(over="ignore"):
+        return pp * rr
+
+
+def lambda_values(qq: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """:func:`lambda_sequence` from the padded diagonal qq and the padded
+    band products prod[i] = p_i*r_i (:func:`band_products`)."""
+    m = qq.size - 2
+    li = float(qq[1])
+    lam = array("d", [math.nan, math.nan, li])
+    for q, pr in zip(memoryview(qq[2 : m + 1]), memoryview(prod[2 : m + 1])):
         if li != li:
-            lam[i + 1] = qq[i]
+            li = q
         elif li == 0.0:
-            lam[i + 1] = math.nan
+            li = math.nan
         else:
-            lam[i + 1] = qq[i] - pp[i] * rr[i] / li
-    return np.array(lam)
+            li = q - pr / li
+        lam.append(li)
+    return np.frombuffer(lam)
 
 
-def extend_g(g: list[float], i: int, qq, pp, rr):
+def extend_g(g: list[float], i: int, qq, prod):
     """Set G[i-1] from G[i] in g, a block's G as a list by paper row.
 
     Mirrors the lambda recurrence on trailing minors: with nonzero entries,
-    G[i-1] = q_i - r_{i+1}*p_{i+1}/G[i]; a zero G[i] makes G[i-1] undefined
-    and the following entry restarts from the diagonal.
+    G[i-1] = q_i - r_{i+1}*p_{i+1}/G[i] (prod[i+1] = p_{i+1}*r_{i+1}); a
+    zero G[i] makes G[i-1] undefined and the following entry restarts from
+    the diagonal.
     """
     gi = g[i]
     if gi != gi:
@@ -90,7 +101,7 @@ def extend_g(g: list[float], i: int, qq, pp, rr):
     elif gi == 0.0:
         g[i - 1] = math.nan
     else:
-        g[i - 1] = qq[i] - rr[i + 1] * pp[i + 1] / gi
+        g[i - 1] = qq[i] - prod[i + 1] / gi
 
 
 def _omega_zero(d: float, i: int, scale: float) -> tuple[float, int]:
@@ -102,9 +113,9 @@ def _omega_zero(d: float, i: int, scale: float) -> tuple[float, int]:
     return 1.0 / d, 0
 
 
-def beta_sequence(lam, pp, rr, scale: float) -> tuple[list, list]:
+def beta_sequence(lam, pp, rr, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Left structure elements beta_i (sub-diagonal direction) of rows 2..m,
-    and the row each one perturbed, as lists indexed by paper row.
+    and the row each one perturbed, as arrays indexed by paper row.
 
     beta_i = -p_i/lam[i]; a zero lam[i] gives -p_i, and a zero lam[i-1]
     gives -p_i*omega_{i-1} with omega_{i-1} = (-p_{i-1}*r_{i-1})^-1.  lam
@@ -126,7 +137,7 @@ def beta_sequence(lam, pp, rr, scale: float) -> tuple[list, list]:
         beta[2:] = np.where(after_zero, -p * omega, -p)
         np.divide(-p, lam_i, out=beta[2:], where=divide)
     perturbed[2:][pert] = np.flatnonzero(pert) + 1
-    return beta.tolist(), perturbed.tolist()
+    return beta, perturbed
 
 
 def _beta_hat(xi, pp, rr, g, scale) -> tuple[float, int]:

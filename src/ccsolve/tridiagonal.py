@@ -18,6 +18,17 @@ replacing exactly-zero denominators with a scaled epsilon, and - when a
 degenerate block bottom cannot satisfy its own equation - by re-deriving
 that row with the upstream coupling severed.
 
+Within one block the inverse rows are semiseparable, so the per-row
+quantities of a block - G, beta_hat, omega, x_i, rho_i and every probe -
+can be computed as arrays.  A speculative numpy pass does this for the
+first block, the whole matrix for well-posed input: four recurrences
+(lambda, the left chain F, G and the right chain H) run as tight
+sequential loops, everything else elementwise in the scalar arithmetic's
+order, so the pass gives the scalar loop's values to the bit.  The scalar
+loop takes over at the first row where a check fires or an event is
+recorded, and runs every block after the first.  The parts of the sweep
+that depend on the matrix alone are built once per matrix.
+
 An upper-bidiagonal matrix is the p = 0 case and runs through the same
 sweep: the left structure elements vanish, every block inverse is upper
 triangular, and for a nonsingular well-posed matrix the solve reduces to
@@ -27,13 +38,16 @@ tau_hat = max|r_i| and its partition factor gamma_hat = sqrt(m/2).
 The pseudo-inverse solves C3 x = e_j for every unit column.  The structure
 elements do not depend on the right-hand side, so the columns share one
 sweep in lock-step while they stay in the first block; only a column that
-one of the solve's checks rejects is solved again on its own.
+one of the solve's checks rejects is solved again on its own, on the
+matrix part the group already built.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,15 +56,16 @@ from .matrices import (
     BidiagonalMatrix,
     DenseMatrix,
     TridiagonalMatrix,
+    band_maxima,
     norm_inf,
 )
 from .minors import (
     _beta_hat,
     _diag_and_omega,
-    band_scale,
+    band_products,
     beta_sequence,
     extend_g,
-    lambda_sequence,
+    lambda_values,
     padded_bands,
     perturbation_magnitude,
 )
@@ -178,25 +193,15 @@ def rounding_budget(w, y) -> ErrorBudget:
     return ErrorBudget(h=h, delta=delta)
 
 
-def _band_tau(w) -> float:
-    """max(|p_i|, |r_i|) over the off-diagonal bands."""
-    if w.m <= 1:
-        return 0.0
-    tau = float(np.max(np.abs(w.r)))
-    if isinstance(w, TridiagonalMatrix):
-        tau = max(tau, float(np.max(np.abs(w.p))))
-    return tau
-
-
-def _build_bound(w, partition, rho, max_y, x_plus, budget) -> ResidualBound:
+def _build_bound(w, partition, rho, max_y, x_plus, budget, tau) -> ResidualBound:
     """eps1*tau*rho*gamma*max_y + delta, delta = h*max|x_plus| + budget.delta.
 
     For a tridiagonal w, tau = max(|p_i|, |r_i|) and gamma is the partition
     factor of :meth:`BlockPartition.gamma`.  For an upper-bidiagonal w,
     tau_hat = max|r_i| and gamma_hat = sqrt((1/2)*sum_k (l_k - l_{k+1})),
-    a sum that telescopes to the order m, so gamma_hat = sqrt(m/2).
+    a sum that telescopes to the order m, so gamma_hat = sqrt(m/2).  tau
+    is 0 for m = 1 (:class:`_Bands`).
     """
-    tau = _band_tau(w)
     if isinstance(w, BidiagonalMatrix):
         gamma = float(np.sqrt(0.5 * partition.m))
     else:
@@ -250,6 +255,84 @@ def _row_part(omega: float, elem_pert: int, state):
     return omega * run, abs(omega) * run_max, reach
 
 
+class _Bands:
+    """What the sweep reads of the matrix alone, built once per matrix and
+    shared by every right-hand side: the padded bands and the band products
+    prod[i] = p_i*r_i as arrays, lam, the left structure elements beta with
+    their perturbed rows, and the max and reach halves of the left chains
+    (:class:`_RowSweep`).  The band maxima are taken once, in one walk over
+    the bands: the zero-perturbation scale, and the band factor tau and
+    norm_inf(W) of the residual bound.
+
+    Entries that the scalar loop indexes one at a time are array.array or
+    lists, so that they come out as Python floats and ints; the speculative
+    pass reads the same memory through numpy views.
+    """
+
+    def __init__(self, c3: TridiagonalMatrix | BidiagonalMatrix):
+        m, qq, pp, rr = padded_bands(c3)
+        self.matrix, self.m = c3, m
+        self.norm, max_q, max_p, max_r = band_maxima(c3)
+        self.scale = max(1.0, max_q, max_p, max_r)
+        self.tau = max(max_r, max_p) if m > 1 else 0.0
+        self.qq, self.pp, self.rr, self.prod = qq, pp, rr, band_products(pp, rr)
+        self.lam = lambda_values(qq, self.prod)
+        self.beta, first = beta_sequence(self.lam, pp, rr, self.scale)
+        self.left_first = first.tolist()
+        # per row, the largest entry magnitude of the left side and the
+        # perturbed row its chain reaches, neither of which depends on y;
+        # with every beta zero (a bidiagonal matrix) every left chain is cut
+        # at its own row, so its sum and max are zero
+        self.left_cut = not self.beta.any()
+        if self.left_cut:
+            self.left_max = array("d", bytes(8 * (m + 1)))
+            self.left_reach = array("q", first.tobytes())
+        else:
+            self.left_max = left_max = array("d", [0.0, 0.0])
+            self.left_reach = left_reach = array("q", [0, 0])
+            run_max, reach = 0.0, 0
+            beta, lam = memoryview(self.beta[2:]), memoryview(self.lam[1:m])
+            for elem, pert, lam_prev in zip(beta, memoryview(first[2:]), lam):
+                if elem == 0.0:
+                    run_max, reach = 0.0, pert
+                else:
+                    if lam_prev != 0.0:
+                        run_max = abs(elem) * (run_max if run_max > 1.0 else 1.0)
+                    else:
+                        run_max = abs(elem) * run_max
+                    reach = pert or reach
+                left_max.append(run_max)
+                left_reach.append(reach)
+
+    @cached_property
+    def lists(self):
+        """(qq, pp, rr, prod, lam) as lists, for the scalar loop's indexing."""
+        arrays = (self.qq, self.pp, self.rr, self.prod, self.lam)
+        return tuple(a.tolist() for a in arrays)
+
+    def left_sums(self, y: np.ndarray):
+        """F_i of rows 0..m, the sum half of the left chains and their only
+        part that depends on y: an array.array for a vector y, a list of
+        arrays over the columns for a matrix."""
+        m = self.m
+        if self.left_cut:
+            return array("d", bytes(8 * (m + 1))) if y.ndim == 1 else [0.0] * (m + 1)
+        sums = array("d", [0.0, 0.0]) if y.ndim == 1 else [0.0, 0.0]
+        ys = memoryview(y[: m - 1]) if y.ndim == 1 else y[: m - 1]
+        run = 0.0
+        for elem, lam_prev, y_prev in zip(
+            memoryview(self.beta[2:]), memoryview(self.lam[1:m]), ys
+        ):
+            if elem == 0.0:
+                run = 0.0
+            elif lam_prev != 0.0:
+                run = elem * (y_prev + run)
+            else:
+                run = elem * run
+            sums.append(run)
+        return sums
+
+
 class _RowSweep:
     """Block-inverse rows applied to the right-hand side y, in O(1) per row.
 
@@ -268,32 +351,28 @@ class _RowSweep:
     The column-l_k entry, which drives phi, is omega_i*P_i with
     P_i = beta_hat_{i+1}*P_{i+1}.  The same chains with max in place of +
     give the largest entry magnitude, from which the solver takes rho.
+    Everything but the sum halves of the chains depends on the matrix
+    alone and comes from bands, a :class:`_Bands`.
 
     y is one vector (its entries become Python floats) or a matrix whose
     columns are swept in lock-step: yy[i] is then row i of y, and the sum
     chains and x_i are arrays over the columns with the same arithmetic per
     column.  Everything else - the structure elements, the corner entry and
-    the max-chains - does not depend on y and stays a scalar.
+    the max-chains - does not depend on y and stays a scalar.  left_sum is
+    ``bands.left_sums(y)`` when the caller already has it.
     """
 
-    def __init__(self, c3: TridiagonalMatrix | BidiagonalMatrix, y: np.ndarray):
-        m, qq, pp, rr = padded_bands(c3)
-        lam = lambda_sequence(c3)
-        self.scale = band_scale(c3)
-        beta, first = beta_sequence(lam, pp, rr, self.scale)
-        qq, pp, rr, lam = qq.tolist(), pp.tolist(), rr.tolist(), lam.tolist()
-        yy = [math.nan] + (y.tolist() if y.ndim == 1 else list(y))
-        self.qq, self.pp, self.rr, self.lam, self.yy = qq, pp, rr, lam, yy
-        # per column i: the perturbed row of beta_i and the F chain state
-        self.left_first = first
-        self.left = left = [(0.0, 0.0, 0)] * (m + 1)
-        for i in range(2, m + 1):
-            unmasked = lam[i - 1] != 0.0
-            left[i] = _chain_step(beta[i], first[i], unmasked, yy[i - 1], left[i - 1])
+    def __init__(self, bands: _Bands, y: np.ndarray, left_sum=None):
+        self.m, self.scale = bands.m, bands.scale
+        self.qq, self.pp, self.rr, self.prod, self.lam = bands.lists
+        self.yy = [math.nan] + (y.tolist() if y.ndim == 1 else list(y))
+        self.left_first = bands.left_first
+        self.left_max, self.left_reach = bands.left_max, bands.left_reach
+        self.left_sum = bands.left_sums(y) if left_sum is None else left_sum
         # G of the current block, indexed by paper row; each block rewrites
         # the entries from its bottom row down, so one list serves them all
-        self.g = [math.nan] * (m + 1)
-        self.open_block(m)
+        self.g = [math.nan] * (self.m + 1)
+        self.open_block(self.m)
 
     def open_block(self, bottom: int):
         """Start a block whose bottom (and current top) row is bottom."""
@@ -304,10 +383,19 @@ class _RowSweep:
         self.right_first = 0
         self.right_corner = 1.0
 
+    def resume(self, i: int, g_i: float, g_above: float, right):
+        """Continue the block with bottom m at row i, after a pass that took
+        rows i+1..m: G[i] and G[i+1], and the right chain as row i+1 left
+        it.  The corner entry of the block with bottom m never reaches phi,
+        which is zero there, so it is left as the block opened."""
+        self.bottom = self.m
+        self.g[i], self.g[i + 1] = g_i, g_above
+        self.right = right
+
     def extend(self, i: int):
         """Move the current block's top row down to i."""
-        qq, pp, rr, g = self.qq, self.pp, self.rr, self.g
-        extend_g(g, i, qq, pp, rr)
+        pp, rr, g = self.pp, self.rr, self.g
+        extend_g(g, i, self.qq, self.prod)
         beta_hat, self.right_first = _beta_hat(i + 1, pp, rr, g, self.scale)
         self.right = _chain_step(
             beta_hat, self.right_first, g[i + 1] != 0.0, self.yy[i + 1], self.right
@@ -342,7 +430,8 @@ class _RowSweep:
                 if reach:
                     events.append(("perturbed-zero", reach))
         if i > 1 and g[i] != 0.0:
-            part, part_max, reach = _row_part(omega, self.left_first[i], self.left[i])
+            left = self.left_sum[i], self.left_max[i], self.left_reach[i]
+            part, part_max, reach = _row_part(omega, self.left_first[i], left)
             x_i += part
             rho_i = max(rho_i, part_max)
             if reach:
@@ -365,14 +454,202 @@ class _RowSweep:
         x_j = b_jj * self.yy[j]
         rho_j = abs(b_jj)
         if j > 1:
-            if lam[j - 1] == 0.0:
-                state = self.left[j]
-            else:
-                state = _chain_step(-pp[j], 0, True, self.yy[j - 1], self.left[j - 1])
+            k = j if lam[j - 1] == 0.0 else j - 1
+            state = self.left_sum[k], self.left_max[k], self.left_reach[k]
+            if k < j:
+                state = _chain_step(-pp[j], 0, True, self.yy[j - 1], state)
             part, part_max, _ = _row_part(omega, 0, state)
             x_j += part
             rho_j = max(rho_j, part_max)
         return x_j, b_jj, rho_j
+
+
+def _rejects(x, rho, y_j, row_value, phi_thr: float):
+    """Where a candidate row fails a check, elementwise over numpy values:
+    x_i or rho_i is not finite, or the probe of the row j below exceeds
+    phi_thr.  The probe is :func:`probe_discrepancy` of y_j against
+    row_value, row j's equation evaluated with the candidate; a NaN
+    row_value probes nothing, as a NaN discrepancy never splits.  Both
+    branches of the probe are evaluated, so call it under np.errstate."""
+    abs_y, abs_v = np.abs(y_j), np.abs(row_value)
+    discrepancy = np.where(abs_y <= 1.0, abs_y - abs_v, 1.0 - abs_v / abs_y)
+    return ~np.isfinite(x) | ~np.isfinite(rho) | (np.abs(discrepancy) > phi_thr)
+
+
+# Rows in the first chunk of the speculative pass; each later chunk is eight
+# times as long, up to the cap, which bounds the pass's temporaries.  Below
+# _PASS_MIN_ROWS rows the pass's fixed cost, some sixty numpy calls, exceeds
+# what it saves on the scalar loop.
+_FIRST_CHUNK = 512
+_CHUNK_CAP = 4096
+_PASS_MIN_ROWS = 20
+
+
+def _first_block(bands, y, left_sum, x_reg, x_plus, phi, phi_thr, growth_thr):
+    """Speculative pass: take rows m, m-1, ... of the block with bottom m as
+    numpy arrays while the scalar loop of :func:`_solve` would simply
+    accept them.
+
+    Rows go in chunks, bottom chunk first.  G and the right chain run as
+    tight sequential loops (the corner entry, which drives phi, is not
+    needed: phi is zero in the first block); b_ii, omega, beta_hat, x_i, rho_i
+    and the checks are elementwise, with the zero rules as masks and each
+    operation in the scalar row's order, so every accepted value is the
+    scalar loop's to the bit (an absent side adds -0.0, which changes
+    nothing, where the scalar loop skips it).  The pass stops at the first
+    row, from the bottom, with a non-finite x_i or rho_i, a failed probe of
+    the row below, a failed top-row check, or an event; it stops also at a
+    zero omega, and wherever a left chain reaches a perturbed beta, whether
+    or not the scalar loop records it.  x_reg, x_plus and phi are
+    array.array buffers by paper row, x_reg with a zero at m+1.
+
+    Returns (i, rho, state): rows i+1..m are final in the buffers, rho is
+    their largest entry magnitude, and state holds the arguments of
+    :meth:`_RowSweep.resume` for row i (None when i is m, nothing taken, or
+    0, the whole matrix one block).
+    """
+    m = bands.m
+    if m < _PASS_MIN_ROWS or 0.0 >= growth_thr:
+        # with growth_thr <= 0 every row above the bottom fails the growth test
+        return m, 0.0, None
+    y = np.concatenate(([math.nan], y, [math.nan]))
+    qq, pp, rr, lam = bands.qq, bands.pp, bands.rr, bands.lam
+    prod, neg_r, lam_zero = bands.prod, -rr, lam == 0.0
+    neg_prod = -prod
+    f_sum, f_max = np.frombuffer(left_sum), np.frombuffer(bands.left_max)
+    f_reached = np.frombuffer(bands.left_reach, dtype=np.int64) != 0
+    xr, xp, ph = np.frombuffer(x_reg), np.frombuffer(x_plus), np.frombuffer(phi)
+    omega_perturbed = 1.0 / -perturbation_magnitude(bands.scale)
+    rho = 0.0
+    g_above, g_top = math.nan, 1.0  # G[hi+1] and G[hi]
+    run, run_max = 0.0, 0.0  # right chain at row hi+1
+    hi, size = m, _FIRST_CHUNK
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while hi >= 1:
+            lo = max(1, hi - size + 1)
+            # G[hi+1] down to G[lo-1]; G[m-1] = q_m - 0/1 = q_m opens the block
+            g_desc = array("d", [g_above, g_top])
+            gi = g_top
+            for q, pr in zip(
+                memoryview(qq[hi : lo - 1 : -1]), memoryview(prod[hi + 1 : lo : -1])
+            ):
+                if gi != gi:
+                    gi = q
+                elif gi == 0.0:
+                    gi = math.nan
+                else:
+                    gi = q - pr / gi
+                g_desc.append(gi)
+            g = np.frombuffer(g_desc)[::-1]  # g[k] = G[lo - 1 + k]
+            # b_ii and omega_i of rows lo..hi, and the events they show
+            n = hi - lo + 1
+            lam_row, g_zero = lam_zero[lo : hi + 1], g[1 : n + 1] == 0.0
+            den = lam[lo + 1 : hi + 2] + g[:n] - qq[lo : hi + 1]
+            b = omega = 1.0 / den
+            stop = den == 0.0
+            diag_zero = lam_row | g_zero
+            if diag_zero.any():
+                # the zero rules: an exact zero at lam[i] or G[i] zeroes b_ii
+                # and takes omega_i from a band product, perturbed (an event)
+                # where that is zero
+                d = np.where(lam_row, neg_prod[lo : hi + 1], neg_prod[lo + 1 : hi + 2])
+                b = np.where(diag_zero, 0.0, b)
+                omega = np.where(diag_zero, 1.0 / d, omega)
+                stop = np.where(diag_zero, d == 0.0, stop)
+            stop |= (omega == 0.0) | f_reached[lo : hi + 1]
+            # the pass ends at the last of these rows at the latest, so the
+            # rows below it need no right chain
+            hits = np.flatnonzero(stop)
+            if hits.size:
+                k = int(hits[-1])
+                lo, n, g = lo + k, n - k, g[k:]
+                lam_row, g_zero, diag_zero = lam_row[k:], g_zero[k:], diag_zero[k:]
+                b, omega, stop = b[k:], omega[k:], stop[k:]
+            top = min(hi, m - 1)  # rows lo..top have a right side
+            nr = top - lo + 1
+            # beta_hat_{i+1} = -r_{i+1}/G[i] of rows lo..top, and its zero rules
+            r_next, g_next = neg_r[lo + 1 : top + 2], g[2 : nr + 2]
+            beta_hat = r_next / g[1 : nr + 1]
+            zero_next = g_next == 0.0
+            if zero_next.any() or g_zero[:nr].any():
+                # G[i+1] == 0 takes omega_{i+1} from a band product, perturbed
+                # where that is zero.  The pass needs no stop for it: row i+1
+                # then stops on its own zero band product, or, if
+                # lam[i+1] == 0, row i on its den = 0 + q_i - q_i.
+                d_next = neg_prod[lo + 2 : top + 3]
+                omega_next = np.where(d_next == 0.0, omega_perturbed, 1.0 / d_next)
+                beta_hat = np.where(g_zero[:nr], r_next, beta_hat)
+                beta_hat = np.where(zero_next, r_next * omega_next, beta_hat)
+            # the right chain of rows hi..lo (row m: the open block)
+            right_in = (run, run_max, 0)
+            bottom = [0.0] if hi == m else []
+            sums, maxes = array("d", bottom), array("d", bottom)
+            for elem, unmasked, y_next in zip(
+                memoryview(beta_hat[::-1]),
+                memoryview(~zero_next[::-1]),
+                memoryview(y[lo + 1 : top + 2][::-1]),
+            ):
+                if elem == 0.0:
+                    run = run_max = 0.0
+                elif unmasked:
+                    run = elem * (y_next + run)
+                    run_max = abs(elem) * (run_max if run_max > 1.0 else 1.0)
+                else:
+                    run = elem * run
+                    run_max = abs(elem) * run_max
+                sums.append(run)
+                maxes.append(run_max)
+            # x_i = b_ii*y_i + omega_i*H_i + omega_i*F_i and rho_i; lam[i] == 0
+            # drops the right side, G[i] == 0 the left, the bottom row has no
+            # right side and row 1 no left one, and a dropped side adds -0.0,
+            # which changes nothing
+            abs_omega = np.abs(omega)
+            right = omega * np.frombuffer(sums)[::-1]
+            right_max = abs_omega * np.frombuffer(maxes)[::-1]
+            left = omega * f_sum[lo : hi + 1]
+            left_max = abs_omega * f_max[lo : hi + 1]
+            if diag_zero.any():
+                right[lam_row], right_max[lam_row] = -0.0, 0.0
+                left[g_zero], left_max[g_zero] = -0.0, 0.0
+            if hi == m:
+                right[-1], right_max[-1] = -0.0, 0.0
+            if lo == 1:
+                left[0], left_max[0] = -0.0, 0.0
+            x = b * y[lo : hi + 1]
+            x += right
+            x += left
+            rho_i = np.maximum(np.abs(b), right_max)
+            np.maximum(rho_i, left_max, out=rho_i)
+            # the screen and the probe of the row below
+            xr[lo : hi + 1] = x
+            row_value = (
+                pp[lo + 1 : top + 2] * x[:nr]
+                + qq[lo + 1 : top + 2] * xr[lo + 1 : top + 2]
+                + rr[lo + 2 : top + 3] * xr[lo + 2 : top + 3]
+            )
+            if nr < n:
+                row_value = np.append(row_value, math.nan)  # nothing below row m
+            stop |= _rejects(x, rho_i, y[lo + 1 : hi + 2], row_value, phi_thr)
+            if lo == 1:
+                x_1, x_2 = float(x[0]), float(xr[2])
+                top_value = float(qq[1]) * x_1 + float(rr[2]) * x_2
+                stop[0] |= abs(probe_discrepancy(float(y[1]), top_value)) > phi_thr
+            hits = np.flatnonzero(stop)
+            i = lo + int(hits[-1]) if hits.size else lo - 1
+            k = i - lo + 1  # rows i+1..hi are taken
+            if k < n:
+                np.add(x[k:], 0.0, out=xp[i + 1 : hi + 1])
+                ph[i + 1 : hi + 1] = 0.0
+                rho = max(rho, float(np.max(rho_i[k:])))
+            if hits.size:
+                if i == m:
+                    return m, 0.0, None
+                t = hi - i - 1  # row i+1 in the descending chains
+                right = right_in if t < 0 else (sums[t], maxes[t], 0)
+                return i, rho, (g_desc[t + 2], g_desc[t + 1], right)
+            g_above, g_top = g_desc[-2], g_desc[-1]
+            hi, size = lo - 1, min(8 * size, _CHUNK_CAP)
+    return 0, rho, None
 
 
 def solve_cc_tridiagonal(
@@ -392,6 +669,12 @@ def solve_cc_tridiagonal(
     no inverse row is formed.  A row counts as degenerate exactly when its
     explicit row would: the chains carry the nearest perturbed structure
     element their traversal reaches.
+
+    The rows of the first block, which is the whole matrix for well-posed
+    input, are taken by a speculative numpy pass (:func:`_first_block`)
+    that gives the scalar loop's values to the bit; the scalar loop takes
+    over at the first row where one of its checks fires or an event is
+    recorded, and runs every block after the first.
 
     phi_threshold accepts a probed row whose normalized discrepancy stays
     within it.  The default 2*sqrt(eps1) sits at the well-/ill-posed regime
@@ -413,20 +696,34 @@ def solve_cc_tridiagonal(
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("y must contain only finite values")
     phi_thr, growth_thr = _thresholds(phi_threshold, growth_threshold)
-    sweep = _RowSweep(c3, y_arr)
-    qq, pp, rr, lam, yy = sweep.qq, sweep.pp, sweep.rr, sweep.lam, sweep.yy
+    return _solve(_Bands(c3), y_arr, phi_thr, growth_thr)
 
-    x_plus = [math.nan] * (m + 1)
-    x_reg = [math.nan] * (m + 1)
-    phi_v = [math.nan] * (m + 1)
-    boundaries: list[int] = []
+
+def _solve(
+    bands: _Bands, y: np.ndarray, phi_thr: float, growth_thr: float
+) -> CCSolution:
+    """:func:`solve_cc_tridiagonal` on a validated y, with the matrix part
+    of the sweep already built."""
+    m = bands.m
+    left_sum = bands.left_sums(y)
+    # x_regular, x_plus and phi by paper row; x_reg[m+1] = 0 is the row
+    # below the bottom that the probe of row m reads
+    x_reg, x_plus, phi_v = (array("d", [0.0]) * (m + 2) for _ in range(3))
+    i, rho, state = _first_block(
+        bands, y, left_sum, x_reg, x_plus, phi_v, phi_thr, growth_thr
+    )
+
+    boundaries: list[int] = [] if i == m else [m]
     events: list = []
-    rho = 0.0
-    degenerate: set[int] = set()
-
-    i = m
-    new_block = True
+    new_block = i == m
     lk = m
+    if i >= 1:
+        sweep = _RowSweep(bands, y, left_sum)
+        qq, pp, rr, lam, yy = sweep.qq, sweep.pp, sweep.rr, sweep.lam, sweep.yy
+        if state is not None:
+            sweep.resume(i, *state)
+        # of the rows the pass took only the bottom can be a block bottom
+        degenerate: set[int] = {m} if i < m and lam[m] == 0.0 else set()
 
     while i >= 1:
         if new_block:
@@ -508,15 +805,17 @@ def solve_cc_tridiagonal(
         ),
         unresolved_top_row=any(e[0] == "top-row-unresolved" for e in events),
     )
-    x_plus_arr = np.array(x_plus[1 : m + 1])
-    max_y = float(np.max(np.abs(y_arr)))
+    x_plus_arr = np.frombuffer(x_plus)[1 : m + 1]
+    max_y = float(np.max(np.abs(y)))
+    # rounding_budget(c3, y), from the maxima already taken
+    budget = ErrorBudget(h=EPS1 * bands.norm, delta=EPS1 * max_y)
     bound = _build_bound(
-        c3, partition, rho, max_y, x_plus_arr, rounding_budget(c3, y_arr)
+        bands.matrix, partition, rho, max_y, x_plus_arr, budget, bands.tau
     )
     return CCSolution(
         x_plus=x_plus_arr,
-        x_regular=np.array(x_reg[1 : m + 1]),
-        phi=np.array(phi_v[1:]),
+        x_regular=np.frombuffer(x_reg)[1 : m + 1],
+        phi=np.frombuffer(phi_v)[1 : m + 1],
         partition=partition,
         rho=rho,
         bound=bound,
@@ -542,19 +841,21 @@ def pseudo_inverse_tridiagonal(
     x_i and rho_i, the growth test, the probe of the row below and, at row
     1, the top row's own equation.  A column that fails one leaves the
     group and is re-solved on its own at the end, so every column is
-    bit-identical to its own solve.  A column that stays one block costs
-    O(m) numpy work, O(m^2) in all; a column that splits costs its own O(m)
-    sweep on top.  The working set is O(m^2): the identity, the left chain
-    of every row and the result, about three m-by-m float arrays.
+    bit-identical to its own solve; the re-solves share the group's
+    :class:`_Bands`.  A column that stays one block costs O(m) numpy work,
+    O(m^2) in all; a column that splits costs its own O(m) sweep on top.
+    The working set is O(m^2): the identity, the left chain of every row
+    and the result, about three m-by-m float arrays.
     """
     m = c3.m
     phi_thr, growth_thr = _thresholds(phi_threshold, growth_threshold)
     result = np.empty((m, m))
     split = np.zeros(m, dtype=bool)
+    bands = _Bands(c3)
     # Overflow in the group is data: a non-finite x_i sends its column to
     # the scalar solve, whose Python floats overflow without a warning.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sweep = _RowSweep(c3, np.eye(m))
+        sweep = _RowSweep(bands, np.eye(m))
         qq, pp, rr, yy = sweep.qq, sweep.pp, sweep.rr, sweep.yy
         x_prev = x_below = 0.0
         for i in range(m, 0, -1):
@@ -562,17 +863,17 @@ def pseudo_inverse_tridiagonal(
                 sweep.extend(i)
             x_i, _, rho_i, _, _ = sweep.row(i)
             # the growth test |phi_i| >= growth_thr, with phi_i = 0 here
-            if not math.isfinite(rho_i) or (i < m and 0.0 >= growth_thr):
+            if i < m and 0.0 >= growth_thr:
                 split[:] = True
-            split |= ~np.isfinite(x_i)
+            y_j, row_value = 0.0, math.nan  # row m has no row below to probe
             if i < m:
-                # probe_discrepancy(y_j, v) is |y_j| - |v| for a unit entry y_j
                 j = i + 1
+                y_j = yy[j]
                 row_value = pp[j] * x_i + qq[j] * x_prev + rr[j + 1] * x_below
-                split |= np.abs(np.abs(yy[j]) - np.abs(row_value)) > phi_thr
+            split |= _rejects(x_i, rho_i, y_j, row_value, phi_thr)
             if i == 1 and m > 1:
                 row_value = qq[1] * x_i + rr[2] * x_prev
-                split |= np.abs(np.abs(yy[1]) - np.abs(row_value)) > phi_thr
+                split |= _rejects(x_i, rho_i, yy[1], row_value, phi_thr)
             if split.all():
                 break
             # x_plus = x_regular + phi with phi = 0 in the first block
@@ -581,10 +882,7 @@ def pseudo_inverse_tridiagonal(
     for j in np.flatnonzero(split):
         e_j = np.zeros(m)
         e_j[j] = 1.0
-        solution = solve_cc_tridiagonal(
-            c3, e_j, phi_threshold=phi_threshold, growth_threshold=growth_threshold
-        )
-        result[:, j] = solution.x_plus
+        result[:, j] = _solve(bands, e_j, phi_thr, growth_thr).x_plus
     return DenseMatrix(result)
 
 

@@ -2,8 +2,9 @@
 
 - ``explicit_solve_cc_tridiagonal``: the block-separation loop as it stood
   before the O(m) sweep replaced it, kept verbatim apart from its name, its
-  docstring and the fixed float64 precision (EPS1 in place of a precision
-  argument).  Its inverse rows and G sequences come from the oracles of
+  docstring, the fixed float64 precision (EPS1 in place of a precision
+  argument) and the band factor tau, which it now hands to the bound
+  builder.  Its inverse rows and G sequences come from the oracles of
   ``explicit_minors``.
 - ``explicit_pseudo_inverse``: the column loop, one solve per unit column,
   as it stood before the lock-step pseudo-inverse replaced it.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ccsolve.matrices import EPS1, DenseMatrix, TridiagonalMatrix
+from ccsolve.matrices import EPS1, DenseMatrix, TridiagonalMatrix, band_maxima
 from ccsolve.minors import (
     band_scale,
     lambda_sequence,
@@ -222,8 +223,10 @@ def explicit_solve_cc_tridiagonal(
         unresolved_top_row=any(e[0] == "top-row-unresolved" for e in events),
     )
     max_y = float(np.max(np.abs(yv[1:])))
+    _, _, max_p, max_r = band_maxima(c3)
+    tau = max(max_r, max_p) if m > 1 else 0.0
     bound = _build_bound(
-        c3, partition, rho, max_y, x_plus[1:], rounding_budget(c3, y)
+        c3, partition, rho, max_y, x_plus[1:], rounding_budget(c3, y), tau
     )
     return CCSolution(
         x_plus=x_plus[1:],

@@ -20,7 +20,7 @@ from ccsolve.minors import (
     lambda_sequence,
     padded_bands,
 )
-from ccsolve.tridiagonal import _RowSweep
+from ccsolve.tridiagonal import _Bands, _RowSweep
 from explicit_minors import fresh_block_g, g_sequence, inverse_row
 from explicit_solve import explicit_lambda_sequence
 from test_sweep import degenerate_inputs
@@ -228,7 +228,7 @@ def test_structure_elements_match_scalar_oracles():
             assert _bits(beta[i]) == _bits(ref)
             assert perturbed[i] == (events[0][1] if events else 0)
             perturbed_rows += bool(events)
-        sweep = _RowSweep(w, np.zeros(m))
+        sweep = _RowSweep(_Bands(w), np.zeros(m))
         g = sweep.g
         for bottom in range(m, 0, -1):
             with np.errstate(over="ignore", invalid="ignore"):

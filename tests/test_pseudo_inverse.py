@@ -92,14 +92,16 @@ def test_overflowing_columns_run_warning_free():
 
 
 def count_solves(monkeypatch):
+    # a column's own solve runs through tridiagonal._solve, the body of
+    # solve_cc_tridiagonal, on the matrix part the group already built
     calls = []
-    solve = tridiagonal.solve_cc_tridiagonal
+    solve = tridiagonal._solve
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(tridiagonal, "solve_cc_tridiagonal", counting)
+    monkeypatch.setattr(tridiagonal, "_solve", counting)
     return calls
 
 

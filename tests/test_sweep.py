@@ -3,16 +3,20 @@
 Two oracles: ``explicit_minors.inverse_row``, which builds each
 block-inverse row over columns 1..l_k from the G sequence of
 ``explicit_minors.g_sequence``, and ``explicit_solve``, the solve loop that
-dotted those rows with y before the sweep replaced it.
+dotted those rows with y before the sweep replaced it.  The speculative
+first-block pass is checked against the scalar loop it stands in for.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ccsolve.matrices import TridiagonalMatrix, matvec
-from ccsolve.tridiagonal import _RowSweep, solve_cc_tridiagonal
+from ccsolve import tridiagonal
+from ccsolve.matrices import BidiagonalMatrix, TridiagonalMatrix, matvec
+from ccsolve.systems import generate_system
+from ccsolve.tridiagonal import _Bands, _RowSweep, solve_cc_tridiagonal
 from explicit_minors import fresh_block_g, g_sequence, inverse_row
 from explicit_solve import explicit_solve_cc_tridiagonal
 
@@ -68,7 +72,7 @@ def test_rows_match_explicit_inverse_rows():
     rows = 0
     for w, y in degenerate_inputs(11, 150):
         m = w.m
-        sweep = _RowSweep(w, y)
+        sweep = _RowSweep(_Bands(w), y)
         for bottom in range(m, 0, -1):
             g = g_sequence(w, 1, bottom)
             sweep.open_block(bottom)
@@ -85,7 +89,7 @@ def test_severed_rows_match_explicit_recipe():
     # with lam[j] = 1, a fresh G and inverse_row over the one-row block.
     checked = 0
     for w, y in degenerate_inputs(12, 300):
-        sweep = _RowSweep(w, y)
+        sweep = _RowSweep(_Bands(w), y)
         qq, pp, rr = sweep.qq, sweep.pp, sweep.rr
         for j in range(1, w.m + 1):
             lam_j = sweep.lam[j]
@@ -173,3 +177,114 @@ def test_large_dominant_system_solves_in_one_block():
     assert sol.partition.boundaries == (m,)
     residual = np.max(np.abs(matvec(w, sol.x_plus) - y))
     assert residual <= 1e-13 * np.max(np.abs(y))
+
+
+def catalogued(sid, m):
+    """System sid at order m with its own right-hand side; below the
+    catalogue's smallest order 3, the leading m-by-m block of order 3."""
+    s = generate_system(sid, max(m, 3))
+    w, y = s.matrix, s.y
+    if m >= 3:
+        return w, y
+    if isinstance(w, BidiagonalMatrix):
+        return BidiagonalMatrix(q=w.q[:m], r=w.r[:m - 1]), y[:m]
+    return TridiagonalMatrix(q=w.q[:m], p=w.p[:m - 1], r=w.r[:m - 1]), y[:m]
+
+
+def pass_inputs():
+    for sid in range(1, 11):
+        for m in list(range(1, 41)) + [50, 100, 200, 400]:
+            w, y = catalogued(sid, m)
+            yield w, y
+            yield w, np.ones(m)
+    yield from degenerate_inputs(0, 1500)
+    # seeded random bands, one in four from a few values spread over 400
+    # decades, whose inverse rows overflow, and one in eight with such a
+    # right-hand side too, whose x overflows where the rows do not
+    rng = np.random.default_rng(5150)
+    wide = [0.0, 1e-200, 1e200, -1e150, 3.0]
+    for t in range(700):
+        m = int(rng.integers(1, 160))
+
+        def band(n):
+            if t % 4 == 3:
+                return rng.choice(wide, n)
+            return rng.uniform(-1, 1, n)
+
+        y = rng.choice(wide, m) if t % 8 == 7 else rng.uniform(-1, 1, m)
+        q, r = band(m), band(m - 1)
+        if t % 2:
+            yield BidiagonalMatrix(q=q, r=r), y
+        else:
+            yield TridiagonalMatrix(q=q, p=band(m - 1), r=r), y
+
+
+def _fields(sol):
+    return (
+        sol.x_plus.tobytes(), sol.x_regular.tobytes(), sol.phi.tobytes(),
+        sol.partition, repr(sol.rho), repr(sol.bound), sol.flags, sol.events,
+    )
+
+
+@pytest.mark.parametrize(
+    "thresholds, chunk",
+    [({}, None), ({"phi_threshold": 1e-3}, None), ({"growth_threshold": 1e3}, None),
+     ({"growth_threshold": 0.0}, None), ({}, 3), ({"phi_threshold": 1e-3}, 3)],
+)
+def test_first_block_pass_is_bit_identical_to_the_scalar_loop(
+    monkeypatch, thresholds, chunk
+):
+    # Every field of every solve, with the pass and with the pass switched
+    # off so that the scalar loop runs every row: x as bytes (signed zeros
+    # count), partition, rho, bound, flags and events.  Three-row chunks
+    # carry G and the right chain across chunks every third row, and the
+    # scalar loop often takes over at the first row of a chunk.  The pass
+    # runs at every order here, below its usual minimum too.
+    monkeypatch.setattr(tridiagonal, "_PASS_MIN_ROWS", 1)
+    if chunk is not None:
+        monkeypatch.setattr(tridiagonal, "_FIRST_CHUNK", chunk)
+        monkeypatch.setattr(tridiagonal, "_CHUNK_CAP", chunk)
+    inputs = list(pass_inputs())
+    for sid in (1, 4, 6, 8, 10):
+        s = generate_system(sid, 1500)
+        inputs.append((s.matrix, s.y))
+    fast = [_fields(solve_cc_tridiagonal(w, y, **thresholds)) for w, y in inputs]
+    monkeypatch.setattr(
+        tridiagonal, "_first_block", lambda bands, *args: (bands.m, 0.0, None)
+    )
+    slow = [_fields(solve_cc_tridiagonal(w, y, **thresholds)) for w, y in inputs]
+    assert len(fast) == len(slow) == 3_085
+    for got, want in zip(fast, slow):
+        assert got == want
+
+
+def test_well_posed_systems_never_reach_the_scalar_rows(monkeypatch):
+    # Systems 6-10 at m = 400 are one block with no event; systems 8 and 10
+    # carry exact lam zeros every 3rd and 6th row, which the pass takes
+    # through its zero rules.
+    def row(self, i):
+        raise AssertionError(f"scalar row {i}")
+
+    monkeypatch.setattr(_RowSweep, "row", row)
+    for sid in (6, 7, 8, 9, 10):
+        s = generate_system(sid, 400)
+        sol = solve_cc_tridiagonal(s.matrix, s.y)
+        assert sol.partition.boundaries == (400,)
+    assert np.any(_Bands(generate_system(8, 400).matrix).lam == 0.0)
+
+
+@pytest.mark.parametrize("sid, per_row", [(6, 400), (1, 455)])
+def test_solve_memory_per_row(sid, per_row):
+    # tracemalloc peak of one solve at m = 4000, after a warm-up solve:
+    # system 6 is one block and runs in the pass, system 1 splits into 3,705
+    # blocks and runs mostly in the scalar loop.
+    m = 4000
+    s = generate_system(sid, m)
+    solve_cc_tridiagonal(s.matrix, s.y)
+    tracemalloc.start()
+    try:
+        solve_cc_tridiagonal(s.matrix, s.y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / m <= per_row
