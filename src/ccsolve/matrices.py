@@ -172,33 +172,33 @@ def to_dense(w: Matrix) -> DenseMatrix:
     return w if isinstance(w, DenseMatrix) else DenseMatrix(dense_array(w))
 
 
-def band_maxima(w: TridiagonalMatrix | BidiagonalMatrix):
-    """(norm_inf(w), max|q|, max|p|, max|r|) of a band container from one
-    walk over its bands, for a solve that needs all four; an empty or absent
-    band has maximum 0."""
-    sums = np.abs(w.q)
-    max_q = float(np.max(sums))
-    max_p = max_r = 0.0
+def _band_sums(w: TridiagonalMatrix | BidiagonalMatrix):
+    """(row sums, |q|, |p|, |r|) of a band container's absolute entries, from
+    one walk over its bands; an absent band is None."""
+    abs_q = np.abs(w.q)
+    sums = abs_q.copy()
+    abs_p = abs_r = None
     if w.m > 1:
         if isinstance(w, TridiagonalMatrix):
             abs_p = np.abs(w.p)
-            max_p = float(np.max(abs_p))
             sums[1:] += abs_p
         abs_r = np.abs(w.r)
-        max_r = float(np.max(abs_r))
         sums[:-1] += abs_r
-    return float(np.max(sums)), max_q, max_p, max_r
+    return sums, abs_q, abs_p, abs_r
+
+
+def band_maxima(w: TridiagonalMatrix | BidiagonalMatrix):
+    """(norm_inf(w), max|q|, max|p|, max|r|) of a band container, for a
+    solve that needs all four; an absent band has maximum 0."""
+    sums, *bands = _band_sums(w)
+    maxima = (0.0 if a is None else float(np.max(a)) for a in bands)
+    return (float(np.max(sums)), *maxima)
 
 
 def norm_inf(w: Matrix) -> float:
     """Maximum absolute row sum; O(m) from the bands of a band container."""
     if isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
-        sums = np.abs(w.q)
-        if w.m > 1:
-            if isinstance(w, TridiagonalMatrix):
-                sums[1:] += np.abs(w.p)
-            sums[:-1] += np.abs(w.r)
-        return float(np.max(sums))
+        return float(np.max(_band_sums(w)[0]))
     a = w.a if isinstance(w, DenseMatrix) else dense_array(w)
     return float(np.max(np.sum(np.abs(a), axis=1)))
 

@@ -20,7 +20,7 @@ from array import array
 
 import numpy as np
 
-from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix, band_maxima
+from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix
 
 __all__ = [
     "lambda_sequence",
@@ -38,12 +38,6 @@ def padded_bands(w: TridiagonalMatrix | BidiagonalMatrix):
     rr = np.zeros(m + 2)
     rr[2 : m + 1] = w.r
     return m, qq, pp, rr
-
-
-def band_scale(w: TridiagonalMatrix | BidiagonalMatrix) -> float:
-    """max(1, max|p|, max|q|, max|r|), the scale used for zero perturbations."""
-    _, max_q, max_p, max_r = band_maxima(w)
-    return max(1.0, max_q, max_p, max_r)
 
 
 def perturbation_magnitude(scale: float) -> float:
@@ -74,17 +68,28 @@ def lambda_values(qq: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """:func:`lambda_sequence` from the padded diagonal qq and the padded
     band products prod[i] = p_i*r_i (:func:`band_products`)."""
     m = qq.size - 2
-    li = float(qq[1])
-    lam = array("d", [math.nan, math.nan, li])
-    for q, pr in zip(memoryview(qq[2 : m + 1]), memoryview(prod[2 : m + 1])):
-        if li != li:
-            li = q
-        elif li == 0.0:
-            li = math.nan
-        else:
-            li = q - pr / li
-        lam.append(li)
+    lam = array("d", [math.nan, math.nan])
+    minor_ratios(lam, float(qq[1]), qq[2 : m + 1], prod[2 : m + 1])
     return np.frombuffer(lam)
+
+
+def minor_ratios(out: array, x: float, qq: np.ndarray, prod: np.ndarray) -> array:
+    """Append x and the minor ratios that follow it to out, an array('d'):
+    x' = q - pr/x over the paired entries of qq and prod, in their order.
+    A zero x makes x' undefined (NaN), and the entry after a NaN restarts
+    from q.  The leading sequence lam runs it over the bands top-down, a
+    block's trailing sequence G (see :func:`extend_g`) over them bottom-up.
+    """
+    out.append(x)
+    for q, pr in zip(memoryview(qq), memoryview(prod)):
+        if x != x:
+            x = q
+        elif x == 0.0:
+            x = math.nan
+        else:
+            x = q - pr / x
+        out.append(x)
+    return out
 
 
 def extend_g(g: list[float], i: int, qq, prod):

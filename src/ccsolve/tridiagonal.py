@@ -66,6 +66,7 @@ from .minors import (
     beta_sequence,
     extend_g,
     lambda_values,
+    minor_ratios,
     padded_bands,
     perturbation_magnitude,
 )
@@ -188,9 +189,13 @@ def probe_discrepancy(y_j: float, row_value: float) -> float:
 def rounding_budget(w, y) -> ErrorBudget:
     """Budget covering representation rounding only: h = eps1*norm_inf(W),
     delta = eps1*max|y_i|."""
-    h = EPS1 * norm_inf(w)
-    delta = EPS1 * float(np.max(np.abs(np.asarray(y, dtype=float))))
-    return ErrorBudget(h=h, delta=delta)
+    max_y = float(np.max(np.abs(np.asarray(y, dtype=float))))
+    return _rounding(norm_inf(w), max_y)
+
+
+def _rounding(norm: float, max_y: float) -> ErrorBudget:
+    """:func:`rounding_budget` from norm_inf(W) and max|y_i|."""
+    return ErrorBudget(h=EPS1 * norm, delta=EPS1 * max_y)
 
 
 def _build_bound(w, partition, rho, max_y, x_plus, budget, tau) -> ResidualBound:
@@ -255,6 +260,28 @@ def _row_part(omega: float, elem_pert: int, state):
     return omega * run, abs(omega) * run_max, reach
 
 
+def _chain_run(sums: array, maxes: array, elems, unmasked, ys):
+    """Extend an inverse-row chain by each element of elems in turn, as one
+    tight loop: :func:`_chain_step` without the reach, over memoryviews of
+    numpy arrays (unmasked a bool array).  sums and maxes are array('d')s
+    whose last entries are the chain's state; each step appends the new
+    state to them."""
+    run, run_max = sums[-1], maxes[-1]
+    for elem, unmask, y_next in zip(
+        memoryview(elems), memoryview(unmasked), memoryview(ys)
+    ):
+        if elem == 0.0:
+            run = run_max = 0.0
+        elif unmask:
+            run = elem * (y_next + run)
+            run_max = abs(elem) * (run_max if run_max > 1.0 else 1.0)
+        else:
+            run = elem * run
+            run_max = abs(elem) * run_max
+        sums.append(run)
+        maxes.append(run_max)
+
+
 class _Bands:
     """What the sweep reads of the matrix alone, built once per matrix and
     shared by every right-hand side: the padded bands and the band products
@@ -272,37 +299,36 @@ class _Bands:
     def __init__(self, c3: TridiagonalMatrix | BidiagonalMatrix):
         m, qq, pp, rr = padded_bands(c3)
         self.matrix, self.m = c3, m
-        self.norm, max_q, max_p, max_r = band_maxima(c3)
-        self.scale = max(1.0, max_q, max_p, max_r)
-        self.tau = max(max_r, max_p) if m > 1 else 0.0
+        self.norm, *maxima = band_maxima(c3)  # max|q|, max|p|, max|r|
+        self.scale = max(1.0, *maxima)
+        self.tau = max(maxima[1:]) if m > 1 else 0.0
         self.qq, self.pp, self.rr, self.prod = qq, pp, rr, band_products(pp, rr)
         self.lam = lambda_values(qq, self.prod)
         self.beta, first = beta_sequence(self.lam, pp, rr, self.scale)
         self.left_first = first.tolist()
         # per row, the largest entry magnitude of the left side and the
-        # perturbed row its chain reaches, neither of which depends on y;
-        # with every beta zero (a bidiagonal matrix) every left chain is cut
-        # at its own row, so its sum and max are zero
+        # perturbed row its chain reaches, neither of which depends on y:
+        # the nearest perturbed beta at or below the row, back to the
+        # chain's last cut (a zero beta).  With every beta zero (a
+        # bidiagonal matrix) every left chain is cut at its own row.
         self.left_cut = not self.beta.any()
         if self.left_cut:
             self.left_max = array("d", bytes(8 * (m + 1)))
-            self.left_reach = array("q", first.tobytes())
         else:
-            self.left_max = left_max = array("d", [0.0, 0.0])
-            self.left_reach = left_reach = array("q", [0, 0])
-            run_max, reach = 0.0, 0
-            beta, lam = memoryview(self.beta[2:]), memoryview(self.lam[1:m])
-            for elem, pert, lam_prev in zip(beta, memoryview(first[2:]), lam):
-                if elem == 0.0:
-                    run_max, reach = 0.0, pert
-                else:
-                    if lam_prev != 0.0:
-                        run_max = abs(elem) * (run_max if run_max > 1.0 else 1.0)
-                    else:
-                        run_max = abs(elem) * run_max
-                    reach = pert or reach
-                left_max.append(run_max)
-                left_reach.append(reach)
+            # the max half of the chains run over y = 0, whose sums are
+            # dropped; left_sums runs the sum half alone for each y, as the
+            # max half would add about 40% to that loop
+            self.left_max = array("d", [0.0, 0.0])
+            unmasked, ys = self.lam[1:m] != 0.0, np.zeros(m - 1)
+            sums = array("d", [0.0, 0.0])
+            _chain_run(sums, self.left_max, self.beta[2:], unmasked, ys)
+        reach = first  # all zero unless some beta was perturbed
+        if first.any():
+            rows = np.arange(m + 1)
+            last_pert = np.maximum.accumulate(np.where(first != 0, rows, 0))
+            last_cut = np.maximum.accumulate(np.where(self.beta == 0.0, rows, 0))
+            reach = np.where(last_pert >= last_cut, first[last_pert], 0)
+        self.left_reach = array("q", reach.tobytes())
 
     @cached_property
     def lists(self):
@@ -464,44 +490,51 @@ class _RowSweep:
         return x_j, b_jj, rho_j
 
 
-def _rejects(x, rho, y_j, row_value, phi_thr: float):
+def _rejects(x, rho, y_j, row_value, phi_thr: float, max_y: float):
     """Where a candidate row fails a check, elementwise over numpy values:
     x_i or rho_i is not finite, or the probe of the row j below exceeds
     phi_thr.  The probe is :func:`probe_discrepancy` of y_j against
     row_value, row j's equation evaluated with the candidate; a NaN
-    row_value probes nothing, as a NaN discrepancy never splits.  Both
-    branches of the probe are evaluated, so call it under np.errstate."""
+    row_value probes nothing, as a NaN discrepancy never splits.  max_y
+    bounds |y_j|: the probe's second branch, for |y_j| > 1, is evaluated
+    only when it can be taken.  Call it under np.errstate: rho*0.0 is NaN
+    exactly where rho is not finite, and a zero y_j divides by zero in the
+    branch np.where discards."""
     abs_y, abs_v = np.abs(y_j), np.abs(row_value)
-    discrepancy = np.where(abs_y <= 1.0, abs_y - abs_v, 1.0 - abs_v / abs_y)
-    return ~np.isfinite(x) | ~np.isfinite(rho) | (np.abs(discrepancy) > phi_thr)
+    discrepancy = abs_y - abs_v
+    if max_y > 1.0:
+        discrepancy = np.where(abs_y <= 1.0, discrepancy, 1.0 - abs_v / abs_y)
+    reject = np.abs(discrepancy) > phi_thr
+    reject |= ~np.isfinite(x + rho * 0.0)
+    return reject
 
 
-# Rows in the first chunk of the speculative pass; each later chunk is eight
-# times as long, up to the cap, which bounds the pass's temporaries.  Below
-# _PASS_MIN_ROWS rows the pass's fixed cost, some sixty numpy calls, exceeds
-# what it saves on the scalar loop.
-_FIRST_CHUNK = 512
-_CHUNK_CAP = 4096
+# Below this order the pass's fixed cost, some sixty numpy calls, exceeds
+# what it saves on the scalar loop.  Median solve times with the pass
+# against without it, systems 1 and 6 (one block at these orders) on a
+# 2-vCPU VM: 1.4-1.5x at m = 3, 1.1x at m = 15, 1.0x at m = 20, 0.9x at
+# m = 30, 0.7-0.8x at m = 50.
 _PASS_MIN_ROWS = 20
 
 
-def _first_block(bands, y, left_sum, x_reg, x_plus, phi, phi_thr, growth_thr):
+def _first_block(bands, y, max_y, left_sum, x_reg, x_plus, phi_thr, growth_thr):
     """Speculative pass: take rows m, m-1, ... of the block with bottom m as
     numpy arrays while the scalar loop of :func:`_solve` would simply
     accept them.
 
-    Rows go in chunks, bottom chunk first.  G and the right chain run as
-    tight sequential loops (the corner entry, which drives phi, is not
-    needed: phi is zero in the first block); b_ii, omega, beta_hat, x_i, rho_i
-    and the checks are elementwise, with the zero rules as masks and each
-    operation in the scalar row's order, so every accepted value is the
-    scalar loop's to the bit (an absent side adds -0.0, which changes
-    nothing, where the scalar loop skips it).  The pass stops at the first
-    row, from the bottom, with a non-finite x_i or rho_i, a failed probe of
-    the row below, a failed top-row check, or an event; it stops also at a
-    zero omega, and wherever a left chain reaches a perturbed beta, whether
-    or not the scalar loop records it.  x_reg, x_plus and phi are
-    array.array buffers by paper row, x_reg with a zero at m+1.
+    G and the right chain run as tight sequential loops (the corner entry,
+    which drives phi, is not needed: phi is zero in the first block);
+    b_ii, omega, beta_hat, x_i, rho_i and the checks are elementwise, with
+    the zero rules as masks and each operation in the scalar row's order,
+    so every accepted value is the scalar loop's to the bit (an absent side
+    adds -0.0, which changes nothing, where the scalar loop skips it).  The
+    pass stops at the first row, from the bottom, with a non-finite x_i or
+    rho_i, a failed probe of the row below, a failed top-row check, or an
+    event; it stops also at a zero omega, and wherever a left chain reaches
+    a perturbed beta, whether or not the scalar loop records it.  Row m's
+    own stops need only G[m] = 1 and G[m-1] = q_m, so they are tested
+    before any array is built.  x_reg and x_plus are array.array buffers by
+    paper row, x_reg with a zero at m+1; phi is zero in the rows taken.
 
     Returns (i, rho, state): rows i+1..m are final in the buffers, rho is
     their largest entry magnitude, and state holds the arguments of
@@ -512,144 +545,111 @@ def _first_block(bands, y, left_sum, x_reg, x_plus, phi, phi_thr, growth_thr):
     if m < _PASS_MIN_ROWS or 0.0 >= growth_thr:
         # with growth_thr <= 0 every row above the bottom fails the growth test
         return m, 0.0, None
-    y = np.concatenate(([math.nan], y, [math.nan]))
     qq, pp, rr, lam = bands.qq, bands.pp, bands.rr, bands.lam
-    prod, neg_r, lam_zero = bands.prod, -rr, lam == 0.0
-    neg_prod = -prod
-    f_sum, f_max = np.frombuffer(left_sum), np.frombuffer(bands.left_max)
-    f_reached = np.frombuffer(bands.left_reach, dtype=np.int64) != 0
-    xr, xp, ph = np.frombuffer(x_reg), np.frombuffer(x_plus), np.frombuffer(phi)
-    omega_perturbed = 1.0 / -perturbation_magnitude(bands.scale)
-    rho = 0.0
-    g_above, g_top = math.nan, 1.0  # G[hi+1] and G[hi]
-    run, run_max = 0.0, 0.0  # right chain at row hi+1
-    hi, size = m, _FIRST_CHUNK
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while hi >= 1:
-            lo = max(1, hi - size + 1)
-            # G[hi+1] down to G[lo-1]; G[m-1] = q_m - 0/1 = q_m opens the block
-            g_desc = array("d", [g_above, g_top])
-            gi = g_top
-            for q, pr in zip(
-                memoryview(qq[hi : lo - 1 : -1]), memoryview(prod[hi + 1 : lo : -1])
-            ):
-                if gi != gi:
-                    gi = q
-                elif gi == 0.0:
-                    gi = math.nan
-                else:
-                    gi = q - pr / gi
-                g_desc.append(gi)
-            g = np.frombuffer(g_desc)[::-1]  # g[k] = G[lo - 1 + k]
-            # b_ii and omega_i of rows lo..hi, and the events they show
-            n = hi - lo + 1
-            lam_row, g_zero = lam_zero[lo : hi + 1], g[1 : n + 1] == 0.0
-            den = lam[lo + 1 : hi + 2] + g[:n] - qq[lo : hi + 1]
-            b = omega = 1.0 / den
-            stop = den == 0.0
-            diag_zero = lam_row | g_zero
-            if diag_zero.any():
-                # the zero rules: an exact zero at lam[i] or G[i] zeroes b_ii
-                # and takes omega_i from a band product, perturbed (an event)
-                # where that is zero
-                d = np.where(lam_row, neg_prod[lo : hi + 1], neg_prod[lo + 1 : hi + 2])
-                b = np.where(diag_zero, 0.0, b)
-                omega = np.where(diag_zero, 1.0 / d, omega)
-                stop = np.where(diag_zero, d == 0.0, stop)
-            stop |= (omega == 0.0) | f_reached[lo : hi + 1]
-            # the pass ends at the last of these rows at the latest, so the
-            # rows below it need no right chain
-            hits = np.flatnonzero(stop)
-            if hits.size:
-                k = int(hits[-1])
-                lo, n, g = lo + k, n - k, g[k:]
-                lam_row, g_zero, diag_zero = lam_row[k:], g_zero[k:], diag_zero[k:]
-                b, omega, stop = b[k:], omega[k:], stop[k:]
-            top = min(hi, m - 1)  # rows lo..top have a right side
-            nr = top - lo + 1
-            # beta_hat_{i+1} = -r_{i+1}/G[i] of rows lo..top, and its zero rules
-            r_next, g_next = neg_r[lo + 1 : top + 2], g[2 : nr + 2]
-            beta_hat = r_next / g[1 : nr + 1]
-            zero_next = g_next == 0.0
-            if zero_next.any() or g_zero[:nr].any():
-                # G[i+1] == 0 takes omega_{i+1} from a band product, perturbed
-                # where that is zero.  The pass needs no stop for it: row i+1
-                # then stops on its own zero band product, or, if
-                # lam[i+1] == 0, row i on its den = 0 + q_i - q_i.
-                d_next = neg_prod[lo + 2 : top + 3]
-                omega_next = np.where(d_next == 0.0, omega_perturbed, 1.0 / d_next)
-                beta_hat = np.where(g_zero[:nr], r_next, beta_hat)
-                beta_hat = np.where(zero_next, r_next * omega_next, beta_hat)
-            # the right chain of rows hi..lo (row m: the open block)
-            right_in = (run, run_max, 0)
-            bottom = [0.0] if hi == m else []
-            sums, maxes = array("d", bottom), array("d", bottom)
-            for elem, unmasked, y_next in zip(
-                memoryview(beta_hat[::-1]),
-                memoryview(~zero_next[::-1]),
-                memoryview(y[lo + 1 : top + 2][::-1]),
-            ):
-                if elem == 0.0:
-                    run = run_max = 0.0
-                elif unmasked:
-                    run = elem * (y_next + run)
-                    run_max = abs(elem) * (run_max if run_max > 1.0 else 1.0)
-                else:
-                    run = elem * run
-                    run_max = abs(elem) * run_max
-                sums.append(run)
-                maxes.append(run_max)
-            # x_i = b_ii*y_i + omega_i*H_i + omega_i*F_i and rho_i; lam[i] == 0
-            # drops the right side, G[i] == 0 the left, the bottom row has no
-            # right side and row 1 no left one, and a dropped side adds -0.0,
-            # which changes nothing
-            abs_omega = np.abs(omega)
-            right = omega * np.frombuffer(sums)[::-1]
-            right_max = abs_omega * np.frombuffer(maxes)[::-1]
-            left = omega * f_sum[lo : hi + 1]
-            left_max = abs_omega * f_max[lo : hi + 1]
-            if diag_zero.any():
-                right[lam_row], right_max[lam_row] = -0.0, 0.0
-                left[g_zero], left_max[g_zero] = -0.0, 0.0
-            if hi == m:
-                right[-1], right_max[-1] = -0.0, 0.0
-            if lo == 1:
-                left[0], left_max[0] = -0.0, 0.0
-            x = b * y[lo : hi + 1]
-            x += right
-            x += left
-            rho_i = np.maximum(np.abs(b), right_max)
-            np.maximum(rho_i, left_max, out=rho_i)
-            # the screen and the probe of the row below
-            xr[lo : hi + 1] = x
-            row_value = (
-                pp[lo + 1 : top + 2] * x[:nr]
-                + qq[lo + 1 : top + 2] * xr[lo + 1 : top + 2]
-                + rr[lo + 2 : top + 3] * xr[lo + 2 : top + 3]
-            )
-            if nr < n:
-                row_value = np.append(row_value, math.nan)  # nothing below row m
-            stop |= _rejects(x, rho_i, y[lo + 1 : hi + 2], row_value, phi_thr)
-            if lo == 1:
-                x_1, x_2 = float(x[0]), float(xr[2])
-                top_value = float(qq[1]) * x_1 + float(rr[2]) * x_2
-                stop[0] |= abs(probe_discrepancy(float(y[1]), top_value)) > phi_thr
-            hits = np.flatnonzero(stop)
-            i = lo + int(hits[-1]) if hits.size else lo - 1
-            k = i - lo + 1  # rows i+1..hi are taken
-            if k < n:
-                np.add(x[k:], 0.0, out=xp[i + 1 : hi + 1])
-                ph[i + 1 : hi + 1] = 0.0
-                rho = max(rho, float(np.max(rho_i[k:])))
-            if hits.size:
-                if i == m:
-                    return m, 0.0, None
-                t = hi - i - 1  # row i+1 in the descending chains
-                right = right_in if t < 0 else (sums[t], maxes[t], 0)
-                return i, rho, (g_desc[t + 2], g_desc[t + 1], right)
-            g_above, g_top = g_desc[-2], g_desc[-1]
-            hi, size = lo - 1, min(8 * size, _CHUNK_CAP)
-    return 0, rho, None
+        _, omega_m, label = _diag_and_omega(
+            m, qq, pp, rr, lam[m], lam[m + 1], 1.0, qq[m], bands.scale
+        )
+        if label or omega_m == 0.0 or bands.left_reach[m]:
+            return m, 0.0, None
+        y = np.concatenate(([math.nan], y, [math.nan]))
+        neg_prod, lam_zero = -bands.prod, lam == 0.0
+        f_sum, f_max = np.frombuffer(left_sum), np.frombuffer(bands.left_max)
+        f_reached = np.frombuffer(bands.left_reach, dtype=np.int64) != 0
+        xr, xp = np.frombuffer(x_reg), np.frombuffer(x_plus)
+        # G[m+1] (undefined), G[m] = 1, G[m-1] = q_m - 0/1 = q_m, ..., G[0]
+        g_desc = minor_ratios(
+            array("d", [math.nan]), 1.0, qq[m:0:-1], bands.prod[m + 1 : 1 : -1]
+        )
+        g = np.frombuffer(g_desc)[::-1]  # g[k] = G[lo - 1 + k], lo = 1 for now
+        # b_ii and omega_i of rows lo..m, and the events they show
+        lo = 1
+        lam_row, g_zero = lam_zero[1 : m + 1], g[1 : m + 1] == 0.0
+        den = lam[2 : m + 2] + g[:m] - qq[1 : m + 1]
+        b = omega = 1.0 / den
+        stop = den == 0.0
+        diag_zero = lam_row | g_zero
+        if diag_zero.any():
+            # the zero rules: an exact zero at lam[i] or G[i] zeroes b_ii and
+            # takes omega_i from a band product, perturbed (an event) where
+            # that is zero
+            d = np.where(lam_row, neg_prod[1 : m + 1], neg_prod[2 : m + 2])
+            b = np.where(diag_zero, 0.0, b)
+            omega = np.where(diag_zero, 1.0 / d, omega)
+            stop = np.where(diag_zero, d == 0.0, stop)
+        stop |= (omega == 0.0) | f_reached[1 : m + 1]
+        # the pass ends at the last of these rows at the latest, so the rows
+        # below it need no right chain
+        hits = np.flatnonzero(stop)
+        if hits.size:
+            k = int(hits[-1])
+            lo, g = lo + k, g[k:]
+            lam_row, g_zero, diag_zero = lam_row[k:], g_zero[k:], diag_zero[k:]
+            b, omega, stop = b[k:], omega[k:], stop[k:]
+        nr = m - lo  # rows lo..m-1 have a right side
+        # beta_hat_{i+1} = -r_{i+1}/G[i] of rows lo..m-1, and its zero rules
+        r_next, g_next = -rr[lo + 1 : m + 1], g[2 : nr + 2]
+        beta_hat = r_next / g[1 : nr + 1]
+        zero_next = g_next == 0.0
+        if zero_next.any() or g_zero[:nr].any():
+            # G[i+1] == 0 takes omega_{i+1} from a band product, perturbed
+            # where that is zero.  The pass needs no stop for it: row i+1
+            # then stops on its own zero band product, or, if lam[i+1] == 0,
+            # row i on its den = 0 + q_i - q_i.
+            d_next = neg_prod[lo + 2 : m + 2]
+            omega_perturbed = 1.0 / -perturbation_magnitude(bands.scale)
+            omega_next = np.where(d_next == 0.0, omega_perturbed, 1.0 / d_next)
+            beta_hat = np.where(g_zero[:nr], r_next, beta_hat)
+            beta_hat = np.where(zero_next, r_next * omega_next, beta_hat)
+        # the right chain of rows m..lo, descending; row m opens the block
+        sums, maxes = array("d", [0.0]), array("d", [0.0])
+        _chain_run(
+            sums, maxes, beta_hat[::-1], ~zero_next[::-1], y[lo + 1 : m + 1][::-1]
+        )
+        # x_i = b_ii*y_i + omega_i*H_i + omega_i*F_i and rho_i; lam[i] == 0
+        # drops the right side, G[i] == 0 the left, the bottom row has no
+        # right side and row 1 no left one, and a dropped side adds -0.0,
+        # which changes nothing
+        abs_omega = np.abs(omega)
+        right = omega * np.frombuffer(sums)[::-1]
+        right_max = abs_omega * np.frombuffer(maxes)[::-1]
+        left = omega * f_sum[lo : m + 1]
+        left_max = abs_omega * f_max[lo : m + 1]
+        if diag_zero.any():
+            right[lam_row], right_max[lam_row] = -0.0, 0.0
+            left[g_zero], left_max[g_zero] = -0.0, 0.0
+        right[-1], right_max[-1] = -0.0, 0.0
+        if lo == 1:
+            left[0], left_max[0] = -0.0, 0.0
+        x = b * y[lo : m + 1]
+        x += right
+        x += left
+        rho_i = np.maximum(np.abs(b), right_max)
+        np.maximum(rho_i, left_max, out=rho_i)
+        # the screen and the probe of the row below (nothing below row m)
+        xr[lo : m + 1] = x
+        row_value = np.full(m - lo + 1, math.nan)
+        row_value[:nr] = (
+            pp[lo + 1 : m + 1] * x[:nr]
+            + qq[lo + 1 : m + 1] * xr[lo + 1 : m + 1]
+            + rr[lo + 2 : m + 2] * xr[lo + 2 : m + 2]
+        )
+        stop |= _rejects(x, rho_i, y[lo + 1 : m + 2], row_value, phi_thr, max_y)
+        if lo == 1:
+            x_1, x_2 = float(x[0]), float(xr[2])
+            top_value = float(qq[1]) * x_1 + float(rr[2]) * x_2
+            stop[0] |= abs(probe_discrepancy(float(y[1]), top_value)) > phi_thr
+    hits = np.flatnonzero(stop)
+    i = lo + int(hits[-1]) if hits.size else 0
+    if i == m:
+        return m, 0.0, None
+    k = i - lo + 1  # rows i+1..m are taken
+    np.add(x[k:], 0.0, out=xp[i + 1 : m + 1])
+    rho = float(np.max(rho_i[k:]))
+    if i == 0:
+        return 0, rho, None
+    t = m - i - 1  # row i+1 in the descending chains
+    return i, rho, (g_desc[t + 2], g_desc[t + 1], (sums[t], maxes[t], 0))
 
 
 def solve_cc_tridiagonal(
@@ -709,8 +709,9 @@ def _solve(
     # x_regular, x_plus and phi by paper row; x_reg[m+1] = 0 is the row
     # below the bottom that the probe of row m reads
     x_reg, x_plus, phi_v = (array("d", [0.0]) * (m + 2) for _ in range(3))
+    max_y = float(np.max(np.abs(y)))
     i, rho, state = _first_block(
-        bands, y, left_sum, x_reg, x_plus, phi_v, phi_thr, growth_thr
+        bands, y, max_y, left_sum, x_reg, x_plus, phi_thr, growth_thr
     )
 
     boundaries: list[int] = [] if i == m else [m]
@@ -806,11 +807,9 @@ def _solve(
         unresolved_top_row=any(e[0] == "top-row-unresolved" for e in events),
     )
     x_plus_arr = np.frombuffer(x_plus)[1 : m + 1]
-    max_y = float(np.max(np.abs(y)))
-    # rounding_budget(c3, y), from the maxima already taken
-    budget = ErrorBudget(h=EPS1 * bands.norm, delta=EPS1 * max_y)
     bound = _build_bound(
-        bands.matrix, partition, rho, max_y, x_plus_arr, budget, bands.tau
+        bands.matrix, partition, rho, max_y, x_plus_arr,
+        _rounding(bands.norm, max_y), bands.tau,
     )
     return CCSolution(
         x_plus=x_plus_arr,
@@ -870,10 +869,11 @@ def pseudo_inverse_tridiagonal(
                 j = i + 1
                 y_j = yy[j]
                 row_value = pp[j] * x_i + qq[j] * x_prev + rr[j + 1] * x_below
-            split |= _rejects(x_i, rho_i, y_j, row_value, phi_thr)
+            # the unit columns have |y_j| <= 1
+            split |= _rejects(x_i, rho_i, y_j, row_value, phi_thr, 1.0)
             if i == 1 and m > 1:
                 row_value = qq[1] * x_i + rr[2] * x_prev
-                split |= _rejects(x_i, rho_i, yy[1], row_value, phi_thr)
+                split |= _rejects(x_i, rho_i, yy[1], row_value, phi_thr, 1.0)
             if split.all():
                 break
             # x_plus = x_regular + phi with phi = 0 in the first block

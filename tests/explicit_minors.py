@@ -15,7 +15,14 @@ import math
 
 import numpy as np
 
+from ccsolve.matrices import band_maxima
 from ccsolve.minors import padded_bands
+
+
+def band_scale(w) -> float:
+    """max(1, max|p|, max|q|, max|r|), the scale used for zero perturbations."""
+    _, max_q, max_p, max_r = band_maxima(w)
+    return max(1.0, max_q, max_p, max_r)
 
 
 def is_exact_zero(value: float) -> bool:

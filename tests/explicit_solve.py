@@ -20,12 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ccsolve.matrices import EPS1, DenseMatrix, TridiagonalMatrix, band_maxima
-from ccsolve.minors import (
-    band_scale,
-    lambda_sequence,
-    padded_bands,
-    perturbation_magnitude,
-)
+from ccsolve.minors import lambda_sequence, padded_bands, perturbation_magnitude
 from ccsolve.tridiagonal import (
     BlockPartition,
     CCSolution,
@@ -35,7 +30,13 @@ from ccsolve.tridiagonal import (
     rounding_budget,
     solve_cc_tridiagonal,
 )
-from explicit_minors import extend_g, fresh_block_g, inverse_row, is_exact_zero
+from explicit_minors import (
+    band_scale,
+    extend_g,
+    fresh_block_g,
+    inverse_row,
+    is_exact_zero,
+)
 
 
 def explicit_lambda_sequence(c3) -> np.ndarray:

@@ -15,13 +15,12 @@ import explicit_minors as oracle
 from ccsolve.minors import (
     _beta_hat,
     _diag_and_omega,
-    band_scale,
     beta_sequence,
     lambda_sequence,
     padded_bands,
 )
 from ccsolve.tridiagonal import _Bands, _RowSweep
-from explicit_minors import fresh_block_g, g_sequence, inverse_row
+from explicit_minors import band_scale, fresh_block_g, g_sequence, inverse_row
 from explicit_solve import explicit_lambda_sequence
 from test_sweep import degenerate_inputs
 

@@ -227,23 +227,15 @@ def _fields(sol):
 
 
 @pytest.mark.parametrize(
-    "thresholds, chunk",
-    [({}, None), ({"phi_threshold": 1e-3}, None), ({"growth_threshold": 1e3}, None),
-     ({"growth_threshold": 0.0}, None), ({}, 3), ({"phi_threshold": 1e-3}, 3)],
+    "thresholds",
+    [{}, {"phi_threshold": 1e-3}, {"growth_threshold": 1e3}, {"growth_threshold": 0.0}],
 )
-def test_first_block_pass_is_bit_identical_to_the_scalar_loop(
-    monkeypatch, thresholds, chunk
-):
+def test_first_block_pass_is_bit_identical_to_the_scalar_loop(monkeypatch, thresholds):
     # Every field of every solve, with the pass and with the pass switched
     # off so that the scalar loop runs every row: x as bytes (signed zeros
-    # count), partition, rho, bound, flags and events.  Three-row chunks
-    # carry G and the right chain across chunks every third row, and the
-    # scalar loop often takes over at the first row of a chunk.  The pass
-    # runs at every order here, below its usual minimum too.
+    # count), partition, rho, bound, flags and events.  The pass runs at
+    # every order here, below its usual minimum too.
     monkeypatch.setattr(tridiagonal, "_PASS_MIN_ROWS", 1)
-    if chunk is not None:
-        monkeypatch.setattr(tridiagonal, "_FIRST_CHUNK", chunk)
-        monkeypatch.setattr(tridiagonal, "_CHUNK_CAP", chunk)
     inputs = list(pass_inputs())
     for sid in (1, 4, 6, 8, 10):
         s = generate_system(sid, 1500)
