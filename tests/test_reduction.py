@@ -18,6 +18,8 @@ from ccsolve.matrices import (
     matvec,
 )
 from ccsolve.reduction import (
+    _PANEL_MIN_ORDER,
+    _PANEL_WIDTH,
     backmap,
     is_symmetric,
     reduce_general,
@@ -122,12 +124,24 @@ def test_eigenvalues_preserved_symmetric():
 
 
 def test_already_banded_input_gets_identity_factors():
-    # A matrix that is already tridiagonal needs no reflectors at all.
-    arr = np.diag(np.arange(1.0, 6.0))
-    arr += np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1)
-    red = reduce_symmetric(DenseMatrix(arr), np.arange(5.0))
-    assert_array_equal(red.q_factor, np.eye(5))
-    assert_array_equal(dense_array(red.matrix), arr)
+    # A matrix already in the route's band form needs no reflectors at all,
+    # on the per-reflector loop (m = 5) and through the panels (m = 200).
+    for m in (5, 200):
+        off = np.ones(m - 1)
+        tri = np.diag(np.arange(1.0, m + 1.0)) + np.diag(off, 1) + np.diag(off, -1)
+        f = np.arange(float(m))
+        red = reduce_symmetric(DenseMatrix(tri), f)
+        assert red.q_reflectors == []
+        assert_array_equal(red.q_factor, np.eye(m))
+        assert_array_equal(dense_array(red.matrix), tri)
+        assert_array_equal(red.rhs, f)
+        bidiag = np.triu(tri)
+        red = reduce_general(DenseMatrix(bidiag), f)
+        assert red.q_reflectors == [] and red.p_reflectors == []
+        assert_array_equal(red.q_factor, np.eye(m))
+        assert_array_equal(red.p_factor, np.eye(m))
+        assert_array_equal(dense_array(red.matrix), bidiag)
+        assert_array_equal(red.rhs, f)
 
 
 def test_budget_reference_value_and_validation():
@@ -211,28 +225,67 @@ def test_solve_dense_route_override():
         solve_dense(a, y, route="sideways")
 
 
+def _assert_matches_reference(arr, f, route):
+    """The reduction of (arr, f) on the route agrees with the full-update
+    loops of explicit_reduction within m * eps-scaled tolerances: trailing
+    and panel updates reorder their rounding.  Returns the reduction."""
+    m = arr.shape[0]
+    if route == "symmetric":
+        new = reduce_symmetric(DenseMatrix(arr), f)
+        ref = explicit_reduce_symmetric(DenseMatrix(arr), f)
+        pairs = [(new.q_factor, ref.q_factor)]
+    else:
+        new = reduce_general(DenseMatrix(arr), f)
+        ref = explicit_reduce_general(DenseMatrix(arr), f)
+        pairs = [(new.q_factor, ref.q_factor), (new.p_factor, ref.p_factor)]
+    scale = m * EPS1
+    assert_allclose(dense_array(new.matrix), dense_array(ref.matrix), rtol=0,
+                    atol=64 * scale * np.linalg.norm(arr))
+    assert_allclose(new.rhs, ref.rhs, rtol=0, atol=256 * scale * np.linalg.norm(f))
+    for got, want in pairs:
+        assert_allclose(got, want, rtol=0, atol=1024 * scale)
+    return new
+
+
 def test_matches_full_update_reference():
-    # Trailing-submatrix updates reorder the rounding of the full-update
-    # loops, so the results agree within m * eps-scaled tolerances.
     rng = np.random.default_rng(611)
     for i, m in enumerate(np.linspace(3, 300, 30).astype(int)):
         arr = rng.standard_normal((m, m))
         f = rng.standard_normal(m)
         if i % 2:
-            arr = arr + arr.T
-            new = reduce_symmetric(DenseMatrix(arr), f)
-            ref = explicit_reduce_symmetric(DenseMatrix(arr), f)
-            pairs = [(new.q_factor, ref.q_factor)]
+            _assert_matches_reference(arr + arr.T, f, "symmetric")
         else:
-            new = reduce_general(DenseMatrix(arr), f)
-            ref = explicit_reduce_general(DenseMatrix(arr), f)
-            pairs = [(new.q_factor, ref.q_factor), (new.p_factor, ref.p_factor)]
-        scale = m * EPS1
-        assert_allclose(dense_array(new.matrix), dense_array(ref.matrix), rtol=0,
-                        atol=64 * scale * np.linalg.norm(arr))
-        assert_allclose(new.rhs, ref.rhs, rtol=0, atol=256 * scale * np.linalg.norm(f))
-        for got, want in pairs:
-            assert_allclose(got, want, rtol=0, atol=1024 * scale)
+            _assert_matches_reference(arr, f, "general")
+
+
+@pytest.mark.parametrize("extra", [0, 1, _PANEL_WIDTH, _PANEL_WIDTH + 1])
+def test_panel_edges_match_full_update_reference(extra):
+    # At _PANEL_MIN_ORDER the per-reflector loop reduces the whole matrix;
+    # one more row starts one panel, and _PANEL_WIDTH + 1 more start two.
+    m = _PANEL_MIN_ORDER + extra
+    rng = np.random.default_rng(612 + extra)
+    arr = rng.standard_normal((m, m))
+    red = _assert_matches_reference(arr + arr.T, rng.standard_normal(m), "symmetric")
+    assert [k for k, _ in red.q_reflectors] == list(range(1, m - 1))
+    red = _assert_matches_reference(arr, rng.standard_normal(m), "general")
+    assert [k for k, _ in red.p_reflectors] == list(range(m - 1))
+    assert [k for k, _ in red.q_reflectors] == list(range(1, m - 1))
+
+
+def test_zero_column_tails_inside_first_panel():
+    # Block-diagonal input with a leading 6 x 6 block: at its edge the column
+    # and row tails are exactly zero, so the first panel skips two or three
+    # reflectors there and then reduces the second block.
+    m, lead = 150, 6
+    rng = np.random.default_rng(613)
+    arr = np.zeros((m, m))
+    arr[:lead, :lead] = rng.standard_normal((lead, lead))
+    arr[lead:, lead:] = rng.standard_normal((m - lead, m - lead))
+    red = _assert_matches_reference(arr + arr.T, rng.standard_normal(m), "symmetric")
+    assert [k for k, _ in red.q_reflectors] == [1, 2, 3, 4] + list(range(lead + 1, m - 1))
+    red = _assert_matches_reference(arr, rng.standard_normal(m), "general")
+    assert [k for k, _ in red.p_reflectors] == [0, 1, 2, 3, 4] + list(range(lead, m - 1))
+    assert [k for k, _ in red.q_reflectors] == [1, 2, 3, 4] + list(range(lead + 1, m - 1))
 
 
 @pytest.mark.parametrize("m", [50, 150, 250])
@@ -265,12 +318,15 @@ def test_invariants_on_catalogued_dense_systems(m):
 def test_solve_dense_memory_peak(sid, route):
     # One m x m working array plus the stored reflectors and the update
     # temporaries; explicit Q and P factors would push the peak past 3 m^2.
-    m = 400
-    s = generate_system(sid, m)
-    tracemalloc.start()
-    try:
-        solve_dense(s.matrix, s.y, route=route)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * m * m, peak / (8 * m * m)
+    # At m = 250 a panel's trailing update made as one product, or on the
+    # general route the panel workspace held into the per-reflector loop,
+    # would push it past 2.4 m^2.
+    for m, bound in ((250, 2.4), (400, 3.0)):
+        s = generate_system(sid, m)
+        tracemalloc.start()
+        try:
+            solve_dense(s.matrix, s.y, route=route)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * m * m, (m, peak / (8 * m * m))
