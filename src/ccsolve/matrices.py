@@ -29,8 +29,6 @@ __all__ = [
     "dense_array",
     "frobenius_norm",
     "matvec",
-    "matvec_bidiagonal",
-    "matvec_tridiagonal",
     "norm_inf",
     "to_dense",
 ]
@@ -117,34 +115,20 @@ class DenseMatrix:
 Matrix = TridiagonalMatrix | BidiagonalMatrix | DenseMatrix
 
 
-def matvec_tridiagonal(c3: TridiagonalMatrix, x) -> np.ndarray:
-    """Product C3 @ x using the band representation."""
-    x = _as_float_vector(x, "x", c3.m)
-    y = c3.q * x
-    if c3.m > 1:
-        y[1:] += c3.p * x[:-1]
-        y[:-1] += c3.r * x[1:]
-    return y
-
-
-def matvec_bidiagonal(c2: BidiagonalMatrix, x) -> np.ndarray:
-    """Product C2 @ x using the band representation."""
-    x = _as_float_vector(x, "x", c2.m)
-    y = c2.q * x
-    if c2.m > 1:
-        y[:-1] += c2.r * x[1:]
-    return y
-
-
 def matvec(w: Matrix, x) -> np.ndarray:
-    """Product W @ x for any of the three matrix containers."""
-    if isinstance(w, TridiagonalMatrix):
-        return matvec_tridiagonal(w, x)
-    if isinstance(w, BidiagonalMatrix):
-        return matvec_bidiagonal(w, x)
+    """Product W @ x for any of the three matrix containers, the banded ones
+    through their bands."""
     if isinstance(w, DenseMatrix):
         return w.a @ _as_float_vector(x, "x", w.m)
-    raise TypeError(f"unsupported matrix type {type(w).__name__}")
+    if not isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
+        raise TypeError(f"unsupported matrix type {type(w).__name__}")
+    x = _as_float_vector(x, "x", w.m)
+    y = w.q * x
+    if w.m > 1:
+        if isinstance(w, TridiagonalMatrix):
+            y[1:] += w.p * x[:-1]
+        y[:-1] += w.r * x[1:]
+    return y
 
 
 def dense_array(w) -> np.ndarray:

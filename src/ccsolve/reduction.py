@@ -3,21 +3,20 @@
 A symmetric matrix is reduced by Householder similarity to tridiagonal form
 C3 = Q^T A Q with rhs Q^T f; a general matrix by two-sided Householder
 reflections to upper-bidiagonal form C2 = P A Q with rhs P f (Golub & Van
-Loan, sections 5.1 and 8.3).  While the trailing order exceeds
-``_PANEL_MIN_ORDER`` the reduction runs in panels of ``_PANEL_WIDTH``
+Loan, sections 5.1 and 8.3).  Both run in panels of up to ``_PANEL_WIDTH``
 reflectors, as LAPACK's xLABRD and xLATRD do (Dongarra, Sorensen &
 Hammarling, 1989): within a panel each step brings only its own column and
 row up to date from the panel's accumulated vectors, and the trailing
-submatrix takes the panel's 2 * _PANEL_WIDTH rank-1 terms in one matrix
-product at the end (the compact WY idea of Schreiber & Van Loan, 1989).
-Below the crossover, and on input of that order or less, each reflector
-updates the trailing submatrix at once (a rank-2 update on the symmetric
-route, one-sided updates on the general route).  Either way a reduction
-costs O(m^3) flops and one m x m working array.  The reflectors are kept, not multiplied out: they are applied to the
-rhs, and the solution of the banded system is mapped back with z = Q x in
-O(m^2).  The dense factors Q and P are formed only when a caller asks for
-them.  The truncation of the reduced matrix to its bands is covered by an
-explicit error budget (h for the matrix, delta for the rhs).
+submatrix takes the panel's rank-1 terms in one matrix product at the end
+(the compact WY idea of Schreiber & Van Loan, 1989).  The last panel is
+narrower when fewer columns remain, so one loop reduces input of any order.
+A reduction costs O(m^3) flops and one m x m working array.
+
+The reflectors are kept, not multiplied out: they are applied to the rhs,
+and the solution of the banded system is mapped back with z = Q x in O(m^2).
+The dense factors Q and P are formed only when a caller asks for them.  The
+truncation of the reduced matrix to its bands is covered by an explicit
+error budget (h for the matrix, delta for the rhs).
 """
 
 from __future__ import annotations
@@ -116,16 +115,9 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float] | None:
     return v, alpha
 
 
-# Panel width and crossover of the blocked reduction.  Panels run while the
-# trailing order exceeds _PANEL_MIN_ORDER; below it the per-reflector loop
-# finishes the matrix, so input of that order or less is reduced by that loop
-# alone.  Summed reduce time of systems 11-20 at m = 50, 150 and 250 on both
-# routes (45 reductions), one BLAS thread on a 2-vCPU VM: 0.72 s without
-# panels; 0.32-0.40 s with a crossover of 32, 48 or 64; 0.35-0.42 s at 96;
-# 0.40 s at 128.  Widths 8 to 48 are within 10% of each other at m = 250,
-# 500 and 1000.
+# Largest number of reflectors in a panel.  Widths 8 to 48 reduce within 10%
+# of each other at m = 250, 500 and 1000 (one BLAS thread on a 2-vCPU VM).
 _PANEL_WIDTH = 16
-_PANEL_MIN_ORDER = 64
 # The trailing update of a panel runs in blocks of this many rows, so its
 # product never allocates a temporary of the trailing block's size.
 _UPDATE_ROWS = 32
@@ -138,18 +130,17 @@ def _trailing_update(t: np.ndarray, ell: np.ndarray, r: np.ndarray) -> None:
         t[i : i + _UPDATE_ROWS] -= ell[i : i + _UPDATE_ROWS] @ rt
 
 
-def _symmetric_panels(arr: np.ndarray, reflectors: list[Reflector]) -> int:
-    """Tridiagonalise the leading columns of the symmetric arr in panels
-    (xLATRD), appending each reflector; returns the first column left to the
-    per-reflector loop.  Within a panel starting at s the up-to-date trailing
-    matrix is arr[s:, s:] - ell @ r.T, where columns 2j and 2j + 1 of ell
-    hold v_j and w_j of step j's rank-2 update and those of r hold w_j and
-    v_j.  The band entries of step k go straight into arr: later steps of
-    the panel read only rows and columns past k."""
+def _symmetric_panels(arr: np.ndarray) -> list[Reflector]:
+    """Tridiagonalise the symmetric arr in place in panels (xLATRD) and
+    return the reflectors.  Within a panel of nb steps starting at column s
+    the up-to-date trailing matrix is arr[s:, s:] - ell @ r.T, where columns
+    2j and 2j + 1 of ell hold v_j and w_j of step j's rank-2 update and those
+    of r hold w_j and v_j.  The band entries of step k go straight into arr:
+    later steps of the panel read only rows and columns past k."""
     m = arr.shape[0]
-    nb = _PANEL_WIDTH
-    s = 0
-    while m - s > _PANEL_MIN_ORDER:
+    reflectors = []
+    for s in range(0, m - 2, _PANEL_WIDTH):
+        nb = min(_PANEL_WIDTH, m - 2 - s)
         a0 = arr[s:, s:]
         ell = np.zeros((m - s, 2 * nb))
         r = np.zeros((m - s, 2 * nb))
@@ -170,25 +161,22 @@ def _symmetric_panels(arr: np.ndarray, reflectors: list[Reflector]) -> int:
             ell[t:, c + 1] = r[t:, c] = w
             reflectors.append((k + 1, v))
         _trailing_update(a0[nb:, nb:], ell[nb:], r[nb:])
-        s += nb
-    return s
+    return reflectors
 
 
-def _general_panels(
-    arr: np.ndarray, left: list[Reflector], right: list[Reflector]
-) -> int:
-    """Bidiagonalise the leading columns of arr in panels (xLABRD), appending
-    each left and right reflector; returns the first column left to the
-    per-reflector loop.  Within a panel starting at s the up-to-date trailing
-    matrix A is arr[s:, s:] - ell @ r.T: columns 2j of ell and r hold step
-    j's left reflector v_j and y_j = 2 A^T v_j, columns 2j + 1 hold
-    x_j = 2 A u_j and its right reflector u_j.  The band entries of step k go
-    straight into arr: later steps of the panel read only rows and columns
-    past k."""
+def _general_panels(arr: np.ndarray) -> tuple[list[Reflector], list[Reflector]]:
+    """Bidiagonalise arr in place in panels (xLABRD) and return the left and
+    the right reflectors.  Within a panel of nb steps starting at column s
+    the up-to-date trailing matrix A is arr[s:, s:] - ell @ r.T: columns 2j
+    of ell and r hold step j's left reflector v_j and y_j = 2 A^T v_j,
+    columns 2j + 1 hold x_j = 2 A u_j and its right reflector u_j.  The band
+    entries of step k go straight into arr: later steps of the panel read
+    only rows and columns past k."""
     m = arr.shape[0]
-    nb = _PANEL_WIDTH
-    s = 0
-    while m - s > _PANEL_MIN_ORDER:
+    left = []
+    right = []
+    for s in range(0, m - 1, _PANEL_WIDTH):
+        nb = min(_PANEL_WIDTH, m - 1 - s)
         a0 = arr[s:, s:]
         ell = np.zeros((m - s, 2 * nb))
         r = np.zeros((m - s, 2 * nb))
@@ -205,6 +193,7 @@ def _general_panels(
                 r[t:, c] = 2.0 * (v @ a0[j:, t:] - r[t:, :c] @ (v @ ell[j:, :c]))
                 left.append((k, v))
             c += 1
+            # the row tail of the last step (k = m - 2) is one entry: no reflector
             row = a0[j, t:] - r[t:, :c] @ ell[j, :c]
             step = _reflector(row)
             if step is None:
@@ -216,8 +205,7 @@ def _general_panels(
             ell[t:, c] = 2.0 * (a0[t:, t:] @ u - ell[t:, :c] @ (u @ r[t:, :c]))
             right.append((k + 1, u))
         _trailing_update(a0[nb:, nb:], ell[nb:], r[nb:])
-        s += nb
-    return s
+    return left, right
 
 
 def _reduction_budget(m, norm_a, norm_f, route) -> ErrorBudget:
@@ -252,20 +240,7 @@ def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
     if f.shape != (m,):
         raise ValueError(f"f must have length {m}")
     arr = a.a.copy()
-    reflectors = []
-    for k in range(_symmetric_panels(arr, reflectors), m - 2):
-        step = _reflector(arr[k + 1 :, k])
-        if step is None:
-            continue
-        v, alpha = step
-        arr[k + 1, k] = arr[k, k + 1] = alpha
-        # H A22 H = A22 - v w^T - w v^T with p = A22 v, w = 2p - 2(v^T p) v
-        sub = arr[k + 1 :, k + 1 :]
-        p = sub @ v
-        w = 2.0 * p - (2.0 * float(v @ p)) * v
-        sub -= np.outer(v, w)
-        sub -= np.outer(w, v)
-        reflectors.append((k + 1, v))
+    reflectors = _symmetric_panels(arr)
     c3 = TridiagonalMatrix(
         np.diag(arr).copy(), np.diag(arr, -1).copy(), np.diag(arr, 1).copy()
     )
@@ -289,25 +264,7 @@ def reduce_general(a: DenseMatrix, f) -> ReductionResult:
     if f.shape != (m,):
         raise ValueError(f"f must have length {m}")
     arr = a.a.copy()
-    left = []
-    right = []
-    for k in range(_general_panels(arr, left, right), m - 1):
-        step = _reflector(arr[k:, k])
-        if step is not None:
-            v, alpha = step
-            arr[k, k] = alpha
-            block = arr[k:, k + 1 :]
-            block -= np.outer(v, 2.0 * (v @ block))
-            left.append((k, v))
-        if k <= m - 3:
-            step = _reflector(arr[k, k + 1 :])
-            if step is None:
-                continue
-            v, alpha = step
-            arr[k, k + 1] = alpha
-            block = arr[k + 1 :, k + 1 :]
-            block -= np.outer(block @ v, 2.0 * v)
-            right.append((k + 1, v))
+    left, right = _general_panels(arr)
     c2 = BidiagonalMatrix(np.diag(arr).copy(), np.diag(arr, 1).copy())
     budget = _reduction_budget(
         m, frobenius_norm(a), float(np.linalg.norm(f)), "bidiagonal"

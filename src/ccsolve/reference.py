@@ -25,6 +25,7 @@ from .matrices import (
     dense_array,
     frobenius_norm,
 )
+from .reduction import _apply_reflectors, _reflector
 
 __all__ = [
     "SolverOutcome",
@@ -143,17 +144,17 @@ def solve_qr(a: DenseMatrix, y) -> SolverOutcome:
     if y.shape != (m,):
         raise ValueError(f"y must have length {m}")
     r_mat = a.a.copy()
-    qty = y.copy()
+    reflectors = []
     for k in range(m - 1):
-        col = r_mat[k:, k]
-        if float(np.linalg.norm(col[1:])) == 0.0:
+        step = _reflector(r_mat[k:, k])
+        if step is None:
             continue
-        alpha = -float(np.copysign(np.linalg.norm(col), col[0]))
-        v = col.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        r_mat[k:, k:] -= 2.0 * np.outer(v, v @ r_mat[k:, k:])
-        qty[k:] -= 2.0 * v * (v @ qty[k:])
+        v, alpha = step
+        r_mat[k, k] = alpha
+        block = r_mat[k:, k + 1 :]
+        block -= np.outer(v, 2.0 * (v @ block))
+        reflectors.append((k, v))
+    qty = _apply_reflectors(reflectors, y)
     diag = np.diag(r_mat)
     if np.any(diag == 0.0):
         return SolverOutcome(solver_id="QR", x=None, note="exactly zero R diagonal")

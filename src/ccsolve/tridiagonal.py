@@ -723,8 +723,9 @@ def _solve(
         qq, pp, rr, lam, yy = sweep.qq, sweep.pp, sweep.rr, sweep.lam, sweep.yy
         if state is not None:
             sweep.resume(i, *state)
+        # degenerate verdicts of the block bottom and of the last row swept;
         # of the rows the pass took only the bottom can be a block bottom
-        degenerate: set[int] = {m} if i < m and lam[m] == 0.0 else set()
+        bottom_degenerate = is_degenerate = i < m and lam[m] == 0.0
 
     while i >= 1:
         if new_block:
@@ -732,13 +733,14 @@ def _solve(
             boundaries.append(lk)
             sweep.open_block(lk)
             new_block = False
+            bottom_degenerate = is_degenerate  # the split row's, if any
         else:
             sweep.extend(i)
 
         x_i, corner, rho_i, row_events, is_degenerate = sweep.row(i)
         events.extend(row_events)
-        if is_degenerate:
-            degenerate.add(i)
+        if i == lk:
+            bottom_degenerate = bottom_degenerate or is_degenerate
         phi_i = 0.0 if lk == m else -corner * rr[lk + 1] * x_plus[lk + 1]
 
         if not all(map(math.isfinite, (x_i, phi_i, rho_i))):
@@ -760,7 +762,7 @@ def _solve(
             row_value = pp[j] * x_i + qq[j] * x_reg[j] + rr[j + 1] * x_below
             discrepancy = probe_discrepancy(yy[j], row_value)
             if abs(discrepancy) > phi_thr:
-                if j == lk and j in degenerate:
+                if j == lk and bottom_degenerate:
                     # The block bottom is structurally degenerate and its own
                     # equation cannot be met: re-derive it with the coupling
                     # from below folded in through a severed local sequence.
@@ -799,12 +801,11 @@ def _solve(
         i -= 1
 
     partition = BlockPartition(tuple(boundaries))
+    kinds = {kind for kind, _ in events}
     flags = SolveFlags(
-        perturbed_singular=any(e[0] == "perturbed-zero" for e in events),
-        truncated_zero=any(
-            e[0] in ("truncated-diagonal", "nonfinite-truncated") for e in events
-        ),
-        unresolved_top_row=any(e[0] == "top-row-unresolved" for e in events),
+        perturbed_singular="perturbed-zero" in kinds,
+        truncated_zero=bool(kinds & {"truncated-diagonal", "nonfinite-truncated"}),
+        unresolved_top_row="top-row-unresolved" in kinds,
     )
     x_plus_arr = np.frombuffer(x_plus)[1 : m + 1]
     bound = _build_bound(

@@ -18,7 +18,6 @@ from ccsolve.matrices import (
     matvec,
 )
 from ccsolve.reduction import (
-    _PANEL_MIN_ORDER,
     _PANEL_WIDTH,
     backmap,
     is_symmetric,
@@ -125,7 +124,7 @@ def test_eigenvalues_preserved_symmetric():
 
 def test_already_banded_input_gets_identity_factors():
     # A matrix already in the route's band form needs no reflectors at all,
-    # on the per-reflector loop (m = 5) and through the panels (m = 200).
+    # in one narrow panel (m = 5) and through many panels (m = 200).
     for m in (5, 200):
         off = np.ones(m - 1)
         tri = np.diag(np.arange(1.0, m + 1.0)) + np.diag(off, 1) + np.diag(off, -1)
@@ -258,12 +257,15 @@ def test_matches_full_update_reference():
             _assert_matches_reference(arr, f, "general")
 
 
-@pytest.mark.parametrize("extra", [0, 1, _PANEL_WIDTH, _PANEL_WIDTH + 1])
-def test_panel_edges_match_full_update_reference(extra):
-    # At _PANEL_MIN_ORDER the per-reflector loop reduces the whole matrix;
-    # one more row starts one panel, and _PANEL_WIDTH + 1 more start two.
-    m = _PANEL_MIN_ORDER + extra
-    rng = np.random.default_rng(612 + extra)
+@pytest.mark.parametrize("m", [
+    1, 2, 3, _PANEL_WIDTH, _PANEL_WIDTH + 1, _PANEL_WIDTH + 2,
+    2 * _PANEL_WIDTH + 1, 2 * _PANEL_WIDTH + 2,
+])
+def test_panel_edges_match_full_update_reference(m):
+    # The last panel takes the m - 2 - s (symmetric) or m - 1 - s (general)
+    # columns left after full panels: over these orders its width runs from
+    # 1 to _PANEL_WIDTH, and at m = 1 and 2 the symmetric route has none.
+    rng = np.random.default_rng(612 + m)
     arr = rng.standard_normal((m, m))
     red = _assert_matches_reference(arr + arr.T, rng.standard_normal(m), "symmetric")
     assert [k for k, _ in red.q_reflectors] == list(range(1, m - 1))

@@ -114,6 +114,26 @@ def test_qr_matches_numpy_lstsq_on_full_rank():
         assert_allclose(out.x, np.linalg.solve(arr, y), rtol=0, atol=1e-9)
 
 
+def test_qr_skips_exactly_zero_column_tails():
+    rng = np.random.default_rng(704)
+    m = 9
+    # Upper-triangular input: every column tail is exactly zero, so no
+    # reflector is applied and QR is plain back substitution, bit for bit.
+    upper = np.triu(rng.standard_normal((m, m))) + np.eye(m) * 3.0
+    y = rng.standard_normal(m)
+    want = np.zeros(m)
+    for i in range(m - 1, -1, -1):
+        want[i] = (y[i] - upper[i, i + 1 :] @ want[i + 1 :]) / upper[i, i]
+    assert np.array_equal(solve_qr(DenseMatrix(upper), y).x, want)
+    # Block upper-triangular input: the reflectors of the leading 4 x 4
+    # block leave rows 4.. alone, so column 3's tail stays exactly zero
+    # mid-way and is skipped before the trailing block is reduced.
+    arr = rng.standard_normal((m, m)) + np.eye(m) * 3.0
+    arr[4:, :4] = 0.0
+    want, *_ = np.linalg.lstsq(arr, y, rcond=None)
+    assert_allclose(solve_qr(DenseMatrix(arr), y).x, want, rtol=0, atol=1e-9)
+
+
 def test_svd_truncated_minimal_norm_on_singular():
     s = generate_system(20, 5)
     out = solve_svd_truncated(s.matrix, s.y)
