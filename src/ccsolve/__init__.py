@@ -73,7 +73,6 @@ from .tridiagonal import (
     probe_discrepancy,
     pseudo_inverse_bidiagonal,
     pseudo_inverse_tridiagonal,
-    rounding_budget,
     solve_cc_bidiagonal,
     solve_cc_tridiagonal,
 )

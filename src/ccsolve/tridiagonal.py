@@ -26,8 +26,10 @@ first block, the whole matrix for well-posed input: four recurrences
 sequential loops, everything else elementwise in the scalar arithmetic's
 order, so the pass gives the scalar loop's values to the bit.  The scalar
 loop takes over at the first row where a check fires or an event is
-recorded, and runs every block after the first.  The parts of the sweep
-that depend on the matrix alone are built once per matrix.
+recorded, and runs every block after the first.  The bands, lambda and
+the left structure elements beta depend on the matrix alone and are built
+once per matrix; each inverse-row chain, left or right, runs its sums and
+maxima in one loop per right-hand side.
 
 An upper-bidiagonal matrix is the p = 0 case and runs through the same
 sweep: the left structure elements vanish, every block inverse is upper
@@ -57,7 +59,6 @@ from .matrices import (
     DenseMatrix,
     TridiagonalMatrix,
     band_maxima,
-    norm_inf,
 )
 from .minors import (
     _beta_hat,
@@ -80,7 +81,6 @@ __all__ = [
     "probe_discrepancy",
     "pseudo_inverse_bidiagonal",
     "pseudo_inverse_tridiagonal",
-    "rounding_budget",
     "solve_cc_bidiagonal",
     "solve_cc_tridiagonal",
 ]
@@ -109,14 +109,6 @@ class BlockPartition:
     def m(self) -> int:
         return self.boundaries[0]
 
-    def blocks(self) -> list[tuple[int, int]]:
-        """(top, bottom) row spans, bottom block first."""
-        spans = []
-        for k, bottom in enumerate(self.boundaries):
-            top = self.boundaries[k + 1] + 1 if k + 1 < self.n else 1
-            spans.append((top, bottom))
-        return spans
-
     def gamma(self) -> float:
         """sqrt(sum_k l_k*(l_k - l_{k+1})), the partition factor of the
         residual bound; equals m for a single block."""
@@ -127,9 +119,9 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Data perturbation bounds: h for the matrix, delta for the right-hand
-    side (representation rounding of a banded solve, or the band truncation
-    of a dense reduction)."""
+    """Data perturbation bounds of a dense reduction's band truncation: h
+    for the matrix, delta for the right-hand side (zero for a reduction
+    that truncates nothing)."""
 
     h: float = 0.0
     delta: float = 0.0
@@ -186,20 +178,10 @@ def probe_discrepancy(y_j: float, row_value: float) -> float:
     return 1.0 - abs(row_value) / abs(y_j)
 
 
-def rounding_budget(w, y) -> ErrorBudget:
-    """Budget covering representation rounding only: h = eps1*norm_inf(W),
-    delta = eps1*max|y_i|."""
-    max_y = float(np.max(np.abs(np.asarray(y, dtype=float))))
-    return _rounding(norm_inf(w), max_y)
-
-
-def _rounding(norm: float, max_y: float) -> ErrorBudget:
-    """:func:`rounding_budget` from norm_inf(W) and max|y_i|."""
-    return ErrorBudget(h=EPS1 * norm, delta=EPS1 * max_y)
-
-
-def _build_bound(w, partition, rho, max_y, x_plus, budget, tau) -> ResidualBound:
-    """eps1*tau*rho*gamma*max_y + delta, delta = h*max|x_plus| + budget.delta.
+def _build_bound(w, partition, rho, max_y, x_plus, norm, tau) -> ResidualBound:
+    """eps1*tau*rho*gamma*max_y + delta, where delta = eps1*norm*max|x_plus|
+    + eps1*max_y covers the representation rounding of W (norm is
+    norm_inf(W)) and of y.
 
     For a tridiagonal w, tau = max(|p_i|, |r_i|) and gamma is the partition
     factor of :meth:`BlockPartition.gamma`.  For an upper-bidiagonal w,
@@ -211,7 +193,7 @@ def _build_bound(w, partition, rho, max_y, x_plus, budget, tau) -> ResidualBound
         gamma = float(np.sqrt(0.5 * partition.m))
     else:
         gamma = partition.gamma()
-    delta = budget.h * float(np.max(np.abs(x_plus))) + budget.delta
+    delta = EPS1 * norm * float(np.max(np.abs(x_plus))) + EPS1 * max_y
     value = EPS1 * tau * rho * gamma * max_y + delta
     return ResidualBound(tau, rho, gamma, max_y, delta, value)
 
@@ -260,16 +242,17 @@ def _row_part(omega: float, elem_pert: int, state):
     return omega * run, abs(omega) * run_max, reach
 
 
-def _chain_run(sums: array, maxes: array, elems, unmasked, ys):
-    """Extend an inverse-row chain by each element of elems in turn, as one
-    tight loop: :func:`_chain_step` without the reach, over memoryviews of
-    numpy arrays (unmasked a bool array).  sums and maxes are array('d')s
-    whose last entries are the chain's state; each step appends the new
-    state to them."""
+def _chain_run(sums, maxes: array, elems, unmasked, ys):
+    """Extend an inverse-row chain by each element of elems in turn, sums
+    and maxima in one tight loop: :func:`_chain_step` without the reach,
+    over memoryviews of numpy arrays (unmasked a bool array).  ys is
+    iterated as given: a memoryview of one y, whose sums are an
+    array('d'), or the rows of a matrix whose columns run in lock-step,
+    whose sums are a list of arrays over the columns; the maxima do not
+    depend on y.  The last entries of sums and maxes are the chain's state;
+    each step appends the new state to them, and both are returned."""
     run, run_max = sums[-1], maxes[-1]
-    for elem, unmask, y_next in zip(
-        memoryview(elems), memoryview(unmasked), memoryview(ys)
-    ):
+    for elem, unmask, y_next in zip(memoryview(elems), memoryview(unmasked), ys):
         if elem == 0.0:
             run = run_max = 0.0
         elif unmask:
@@ -280,13 +263,14 @@ def _chain_run(sums: array, maxes: array, elems, unmasked, ys):
             run_max = abs(elem) * run_max
         sums.append(run)
         maxes.append(run_max)
+    return sums, maxes
 
 
 class _Bands:
     """What the sweep reads of the matrix alone, built once per matrix and
     shared by every right-hand side: the padded bands and the band products
     prod[i] = p_i*r_i as arrays, lam, the left structure elements beta with
-    their perturbed rows, and the max and reach halves of the left chains
+    their perturbed rows, and the perturbed row each left chain reaches
     (:class:`_RowSweep`).  The band maxima are taken once, in one walk over
     the bands: the zero-perturbation scale, and the band factor tau and
     norm_inf(W) of the residual bound.
@@ -306,22 +290,9 @@ class _Bands:
         self.lam = lambda_values(qq, self.prod)
         self.beta, first = beta_sequence(self.lam, pp, rr, self.scale)
         self.left_first = first.tolist()
-        # per row, the largest entry magnitude of the left side and the
-        # perturbed row its chain reaches, neither of which depends on y:
-        # the nearest perturbed beta at or below the row, back to the
-        # chain's last cut (a zero beta).  With every beta zero (a
-        # bidiagonal matrix) every left chain is cut at its own row.
-        self.left_cut = not self.beta.any()
-        if self.left_cut:
-            self.left_max = array("d", bytes(8 * (m + 1)))
-        else:
-            # the max half of the chains run over y = 0, whose sums are
-            # dropped; left_sums runs the sum half alone for each y, as the
-            # max half would add about 40% to that loop
-            self.left_max = array("d", [0.0, 0.0])
-            unmasked, ys = self.lam[1:m] != 0.0, np.zeros(m - 1)
-            sums = array("d", [0.0, 0.0])
-            _chain_run(sums, self.left_max, self.beta[2:], unmasked, ys)
+        # per row, the perturbed row its left chain reaches, which does not
+        # depend on y: the nearest perturbed beta at or below the row, back
+        # to the chain's last cut (a zero beta)
         reach = first  # all zero unless some beta was perturbed
         if first.any():
             rows = np.arange(m + 1)
@@ -336,27 +307,20 @@ class _Bands:
         arrays = (self.qq, self.pp, self.rr, self.prod, self.lam)
         return tuple(a.tolist() for a in arrays)
 
-    def left_sums(self, y: np.ndarray):
-        """F_i of rows 0..m, the sum half of the left chains and their only
-        part that depends on y: an array.array for a vector y, a list of
-        arrays over the columns for a matrix."""
+    def left_chains(self, y: np.ndarray):
+        """(F, F_max): the left chains of rows 0..m applied to y, sums and
+        maxima, in one :func:`_chain_run`.  F is an array('d') for a vector
+        y and a list of arrays over the columns for a matrix; F_max does
+        not depend on y.  With every beta zero (a bidiagonal matrix) every
+        chain is cut at its own row, and both are zero."""
         m = self.m
-        if self.left_cut:
-            return array("d", bytes(8 * (m + 1))) if y.ndim == 1 else [0.0] * (m + 1)
+        if not self.beta.any():
+            zeros = array("d", bytes(8 * (m + 1)))
+            return (zeros if y.ndim == 1 else [0.0] * (m + 1)), zeros
         sums = array("d", [0.0, 0.0]) if y.ndim == 1 else [0.0, 0.0]
         ys = memoryview(y[: m - 1]) if y.ndim == 1 else y[: m - 1]
-        run = 0.0
-        for elem, lam_prev, y_prev in zip(
-            memoryview(self.beta[2:]), memoryview(self.lam[1:m]), ys
-        ):
-            if elem == 0.0:
-                run = 0.0
-            elif lam_prev != 0.0:
-                run = elem * (y_prev + run)
-            else:
-                run = elem * run
-            sums.append(run)
-        return sums
+        unmasked = self.lam[1:m] != 0.0
+        return _chain_run(sums, array("d", [0.0, 0.0]), self.beta[2:], unmasked, ys)
 
 
 class _RowSweep:
@@ -377,24 +341,24 @@ class _RowSweep:
     The column-l_k entry, which drives phi, is omega_i*P_i with
     P_i = beta_hat_{i+1}*P_{i+1}.  The same chains with max in place of +
     give the largest entry magnitude, from which the solver takes rho.
-    Everything but the sum halves of the chains depends on the matrix
-    alone and comes from bands, a :class:`_Bands`.
+    The structure elements depend on the matrix alone and come from bands,
+    a :class:`_Bands`; both halves of the left chains come from one
+    ``bands.left_chains(y)``, which the caller passes as left when it
+    already has it.
 
     y is one vector (its entries become Python floats) or a matrix whose
     columns are swept in lock-step: yy[i] is then row i of y, and the sum
     chains and x_i are arrays over the columns with the same arithmetic per
     column.  Everything else - the structure elements, the corner entry and
-    the max-chains - does not depend on y and stays a scalar.  left_sum is
-    ``bands.left_sums(y)`` when the caller already has it.
+    the max-chains - does not depend on y and stays a scalar.
     """
 
-    def __init__(self, bands: _Bands, y: np.ndarray, left_sum=None):
+    def __init__(self, bands: _Bands, y: np.ndarray, left=None):
         self.m, self.scale = bands.m, bands.scale
         self.qq, self.pp, self.rr, self.prod, self.lam = bands.lists
         self.yy = [math.nan] + (y.tolist() if y.ndim == 1 else list(y))
-        self.left_first = bands.left_first
-        self.left_max, self.left_reach = bands.left_max, bands.left_reach
-        self.left_sum = bands.left_sums(y) if left_sum is None else left_sum
+        self.left_first, self.left_reach = bands.left_first, bands.left_reach
+        self.left_sum, self.left_max = bands.left_chains(y) if left is None else left
         # G of the current block, indexed by paper row; each block rewrites
         # the entries from its bottom row down, so one list serves them all
         self.g = [math.nan] * (self.m + 1)
@@ -517,24 +481,27 @@ def _rejects(x, rho, y_j, row_value, phi_thr: float, max_y: float):
 _PASS_MIN_ROWS = 20
 
 
-def _first_block(bands, y, max_y, left_sum, x_reg, x_plus, phi_thr, growth_thr):
+def _first_block(bands, y, max_y, chains, x_reg, x_plus, phi_thr, growth_thr):
     """Speculative pass: take rows m, m-1, ... of the block with bottom m as
     numpy arrays while the scalar loop of :func:`_solve` would simply
     accept them.
 
-    G and the right chain run as tight sequential loops (the corner entry,
-    which drives phi, is not needed: phi is zero in the first block);
-    b_ii, omega, beta_hat, x_i, rho_i and the checks are elementwise, with
-    the zero rules as masks and each operation in the scalar row's order,
-    so every accepted value is the scalar loop's to the bit (an absent side
-    adds -0.0, which changes nothing, where the scalar loop skips it).  The
-    pass stops at the first row, from the bottom, with a non-finite x_i or
-    rho_i, a failed probe of the row below, a failed top-row check, or an
-    event; it stops also at a zero omega, and wherever a left chain reaches
-    a perturbed beta, whether or not the scalar loop records it.  Row m's
-    own stops need only G[m] = 1 and G[m-1] = q_m, so they are tested
-    before any array is built.  x_reg and x_plus are array.array buffers by
-    paper row, x_reg with a zero at m+1; phi is zero in the rows taken.
+    The arrays span rows 1..m.  G and the right chain run as tight
+    sequential loops (the corner entry, which drives phi, is not needed:
+    phi is zero in the first block); the left chains F and F_max come in
+    as chains, from :meth:`_Bands.left_chains`.  b_ii, omega, beta_hat, x_i,
+    rho_i and the checks are elementwise, with the zero rules as masks and
+    each operation in the scalar row's order, so every accepted value is
+    the scalar loop's to the bit (an absent side adds -0.0, which changes
+    nothing, where the scalar loop skips it).  The pass stops at the first
+    row, from the bottom, with a non-finite x_i or rho_i, a failed probe of
+    the row below, a failed top-row check, or an event; it stops also at a
+    zero omega, and wherever a left chain reaches a perturbed beta, whether
+    or not the scalar loop records it.  Row m's own stops need only
+    G[m] = 1 and G[m-1] = q_m, so they are tested before any array is
+    built.  x_reg and x_plus are array.array buffers by paper row, x_reg
+    with a zero at m+1; phi is zero in the rows taken, and the rows above
+    the stop leave values in x_reg that the scalar loop overwrites.
 
     Returns (i, rho, state): rows i+1..m are final in the buffers, rho is
     their largest entry magnitude, and state holds the arguments of
@@ -554,16 +521,15 @@ def _first_block(bands, y, max_y, left_sum, x_reg, x_plus, phi_thr, growth_thr):
             return m, 0.0, None
         y = np.concatenate(([math.nan], y, [math.nan]))
         neg_prod, lam_zero = -bands.prod, lam == 0.0
-        f_sum, f_max = np.frombuffer(left_sum), np.frombuffer(bands.left_max)
+        f_sum, f_max = map(np.frombuffer, chains)
         f_reached = np.frombuffer(bands.left_reach, dtype=np.int64) != 0
         xr, xp = np.frombuffer(x_reg), np.frombuffer(x_plus)
         # G[m+1] (undefined), G[m] = 1, G[m-1] = q_m - 0/1 = q_m, ..., G[0]
         g_desc = minor_ratios(
             array("d", [math.nan]), 1.0, qq[m:0:-1], bands.prod[m + 1 : 1 : -1]
         )
-        g = np.frombuffer(g_desc)[::-1]  # g[k] = G[lo - 1 + k], lo = 1 for now
-        # b_ii and omega_i of rows lo..m, and the events they show
-        lo = 1
+        g = np.frombuffer(g_desc)[::-1]  # g[i] = G[i]
+        # b_ii and omega_i of rows 1..m, and the events they show
         lam_row, g_zero = lam_zero[1 : m + 1], g[1 : m + 1] == 0.0
         den = lam[2 : m + 2] + g[:m] - qq[1 : m + 1]
         b = omega = 1.0 / den
@@ -578,33 +544,24 @@ def _first_block(bands, y, max_y, left_sum, x_reg, x_plus, phi_thr, growth_thr):
             omega = np.where(diag_zero, 1.0 / d, omega)
             stop = np.where(diag_zero, d == 0.0, stop)
         stop |= (omega == 0.0) | f_reached[1 : m + 1]
-        # the pass ends at the last of these rows at the latest, so the rows
-        # below it need no right chain
-        hits = np.flatnonzero(stop)
-        if hits.size:
-            k = int(hits[-1])
-            lo, g = lo + k, g[k:]
-            lam_row, g_zero, diag_zero = lam_row[k:], g_zero[k:], diag_zero[k:]
-            b, omega, stop = b[k:], omega[k:], stop[k:]
-        nr = m - lo  # rows lo..m-1 have a right side
-        # beta_hat_{i+1} = -r_{i+1}/G[i] of rows lo..m-1, and its zero rules
-        r_next, g_next = -rr[lo + 1 : m + 1], g[2 : nr + 2]
-        beta_hat = r_next / g[1 : nr + 1]
+        # beta_hat_{i+1} = -r_{i+1}/G[i] of rows 1..m-1, and its zero rules
+        r_next, g_next = -rr[2 : m + 1], g[2 : m + 1]
+        beta_hat = r_next / g[1:m]
         zero_next = g_next == 0.0
-        if zero_next.any() or g_zero[:nr].any():
+        if zero_next.any() or g_zero[:-1].any():
             # G[i+1] == 0 takes omega_{i+1} from a band product, perturbed
             # where that is zero.  The pass needs no stop for it: row i+1
             # then stops on its own zero band product, or, if lam[i+1] == 0,
             # row i on its den = 0 + q_i - q_i.
-            d_next = neg_prod[lo + 2 : m + 2]
+            d_next = neg_prod[3 : m + 2]
             omega_perturbed = 1.0 / -perturbation_magnitude(bands.scale)
             omega_next = np.where(d_next == 0.0, omega_perturbed, 1.0 / d_next)
-            beta_hat = np.where(g_zero[:nr], r_next, beta_hat)
+            beta_hat = np.where(g_zero[:-1], r_next, beta_hat)
             beta_hat = np.where(zero_next, r_next * omega_next, beta_hat)
-        # the right chain of rows m..lo, descending; row m opens the block
-        sums, maxes = array("d", [0.0]), array("d", [0.0])
-        _chain_run(
-            sums, maxes, beta_hat[::-1], ~zero_next[::-1], y[lo + 1 : m + 1][::-1]
+        # the right chain of rows m..1, descending; row m opens the block
+        sums, maxes = _chain_run(
+            array("d", [0.0]), array("d", [0.0]),
+            beta_hat[::-1], ~zero_next[::-1], memoryview(y[m:1:-1]),
         )
         # x_i = b_ii*y_i + omega_i*H_i + omega_i*F_i and rho_i; lam[i] == 0
         # drops the right side, G[i] == 0 the left, the bottom row has no
@@ -613,39 +570,35 @@ def _first_block(bands, y, max_y, left_sum, x_reg, x_plus, phi_thr, growth_thr):
         abs_omega = np.abs(omega)
         right = omega * np.frombuffer(sums)[::-1]
         right_max = abs_omega * np.frombuffer(maxes)[::-1]
-        left = omega * f_sum[lo : m + 1]
-        left_max = abs_omega * f_max[lo : m + 1]
+        left = omega * f_sum[1:]
+        left_max = abs_omega * f_max[1:]
         if diag_zero.any():
             right[lam_row], right_max[lam_row] = -0.0, 0.0
             left[g_zero], left_max[g_zero] = -0.0, 0.0
         right[-1], right_max[-1] = -0.0, 0.0
-        if lo == 1:
-            left[0], left_max[0] = -0.0, 0.0
-        x = b * y[lo : m + 1]
+        left[0], left_max[0] = -0.0, 0.0
+        x = b * y[1 : m + 1]
         x += right
         x += left
         rho_i = np.maximum(np.abs(b), right_max)
         np.maximum(rho_i, left_max, out=rho_i)
         # the screen and the probe of the row below (nothing below row m)
-        xr[lo : m + 1] = x
-        row_value = np.full(m - lo + 1, math.nan)
-        row_value[:nr] = (
-            pp[lo + 1 : m + 1] * x[:nr]
-            + qq[lo + 1 : m + 1] * xr[lo + 1 : m + 1]
-            + rr[lo + 2 : m + 2] * xr[lo + 2 : m + 2]
+        xr[1 : m + 1] = x
+        row_value = np.full(m, math.nan)
+        row_value[:-1] = (
+            pp[2 : m + 1] * x[:-1]
+            + qq[2 : m + 1] * xr[2 : m + 1]
+            + rr[3 : m + 2] * xr[3 : m + 2]
         )
-        stop |= _rejects(x, rho_i, y[lo + 1 : m + 2], row_value, phi_thr, max_y)
-        if lo == 1:
-            x_1, x_2 = float(x[0]), float(xr[2])
-            top_value = float(qq[1]) * x_1 + float(rr[2]) * x_2
-            stop[0] |= abs(probe_discrepancy(float(y[1]), top_value)) > phi_thr
+        stop |= _rejects(x, rho_i, y[2 : m + 2], row_value, phi_thr, max_y)
+        top_value = float(qq[1]) * float(x[0]) + float(rr[2]) * float(xr[2])
+        stop[0] |= abs(probe_discrepancy(float(y[1]), top_value)) > phi_thr
     hits = np.flatnonzero(stop)
-    i = lo + int(hits[-1]) if hits.size else 0
+    i = int(hits[-1]) + 1 if hits.size else 0  # rows i+1..m are taken
     if i == m:
         return m, 0.0, None
-    k = i - lo + 1  # rows i+1..m are taken
-    np.add(x[k:], 0.0, out=xp[i + 1 : m + 1])
-    rho = float(np.max(rho_i[k:]))
+    np.add(x[i:], 0.0, out=xp[i + 1 : m + 1])
+    rho = float(np.max(rho_i[i:]))
     if i == 0:
         return 0, rho, None
     t = m - i - 1  # row i+1 in the descending chains
@@ -705,13 +658,13 @@ def _solve(
     """:func:`solve_cc_tridiagonal` on a validated y, with the matrix part
     of the sweep already built."""
     m = bands.m
-    left_sum = bands.left_sums(y)
+    left = bands.left_chains(y)
     # x_regular, x_plus and phi by paper row; x_reg[m+1] = 0 is the row
     # below the bottom that the probe of row m reads
     x_reg, x_plus, phi_v = (array("d", [0.0]) * (m + 2) for _ in range(3))
     max_y = float(np.max(np.abs(y)))
     i, rho, state = _first_block(
-        bands, y, max_y, left_sum, x_reg, x_plus, phi_thr, growth_thr
+        bands, y, max_y, left, x_reg, x_plus, phi_thr, growth_thr
     )
 
     boundaries: list[int] = [] if i == m else [m]
@@ -719,7 +672,7 @@ def _solve(
     new_block = i == m
     lk = m
     if i >= 1:
-        sweep = _RowSweep(bands, y, left_sum)
+        sweep = _RowSweep(bands, y, left)
         qq, pp, rr, lam, yy = sweep.qq, sweep.pp, sweep.rr, sweep.lam, sweep.yy
         if state is not None:
             sweep.resume(i, *state)
@@ -809,8 +762,7 @@ def _solve(
     )
     x_plus_arr = np.frombuffer(x_plus)[1 : m + 1]
     bound = _build_bound(
-        bands.matrix, partition, rho, max_y, x_plus_arr,
-        _rounding(bands.norm, max_y), bands.tau,
+        bands.matrix, partition, rho, max_y, x_plus_arr, bands.norm, bands.tau
     )
     return CCSolution(
         x_plus=x_plus_arr,

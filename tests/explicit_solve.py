@@ -3,9 +3,9 @@
 - ``explicit_solve_cc_tridiagonal``: the block-separation loop as it stood
   before the O(m) sweep replaced it, kept verbatim apart from its name, its
   docstring, the fixed float64 precision (EPS1 in place of a precision
-  argument) and the band factor tau, which it now hands to the bound
-  builder.  Its inverse rows and G sequences come from the oracles of
-  ``explicit_minors``.
+  argument), and the band factor tau and norm_inf(W), which it now hands
+  to the bound builder.  Its inverse rows and G sequences come from the
+  oracles of ``explicit_minors``.
 - ``explicit_pseudo_inverse``: the column loop, one solve per unit column,
   as it stood before the lock-step pseudo-inverse replaced it.
 - ``explicit_lambda_sequence``: the minor-ratio recurrence on numpy scalars
@@ -19,7 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ccsolve.matrices import EPS1, DenseMatrix, TridiagonalMatrix, band_maxima
+from ccsolve.matrices import (
+    EPS1,
+    DenseMatrix,
+    TridiagonalMatrix,
+    band_maxima,
+    norm_inf,
+)
 from ccsolve.minors import lambda_sequence, padded_bands, perturbation_magnitude
 from ccsolve.tridiagonal import (
     BlockPartition,
@@ -27,7 +33,6 @@ from ccsolve.tridiagonal import (
     SolveFlags,
     _build_bound,
     probe_discrepancy,
-    rounding_budget,
     solve_cc_tridiagonal,
 )
 from explicit_minors import (
@@ -226,9 +231,7 @@ def explicit_solve_cc_tridiagonal(
     max_y = float(np.max(np.abs(yv[1:])))
     _, _, max_p, max_r = band_maxima(c3)
     tau = max(max_r, max_p) if m > 1 else 0.0
-    bound = _build_bound(
-        c3, partition, rho, max_y, x_plus[1:], rounding_budget(c3, y), tau
-    )
+    bound = _build_bound(c3, partition, rho, max_y, x_plus[1:], norm_inf(c3), tau)
     return CCSolution(
         x_plus=x_plus[1:],
         x_regular=x_reg[1:],

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ccsolve.matrices import BidiagonalMatrix, TridiagonalMatrix, dense_array, matvec
+from ccsolve.matrices import (
+    BidiagonalMatrix,
+    TridiagonalMatrix,
+    dense_array,
+    matvec,
+    norm_inf,
+)
 from ccsolve.systems import generate_system
 from ccsolve.tridiagonal import (
     pseudo_inverse_bidiagonal,
-    rounding_budget,
     solve_cc_bidiagonal,
     solve_cc_tridiagonal,
 )
@@ -98,13 +103,13 @@ def test_residual_bound_formula_and_coverage():
         x = rng.standard_normal(m)
         y = matvec(w, x)
         sol = solve_cc_bidiagonal(w, y)
-        budget = rounding_budget(w, y)
         bound = sol.bound
         assert_allclose(bound.tau, np.max(np.abs(w.r)), rtol=1e-15)
         want = EPS1 * bound.tau * bound.rho * bound.gamma * bound.max_y + bound.delta
         assert_allclose(bound.bound_value, want, rtol=1e-15)
         residual = np.max(np.abs(matvec(w, sol.x_plus) - y))
-        delta_term = budget.h * np.max(np.abs(sol.x_plus)) + budget.delta
+        delta_term = (EPS1 * norm_inf(w) * np.max(np.abs(sol.x_plus))
+                      + EPS1 * np.max(np.abs(y)))
         assert residual <= EPS1 * bound.tau * bound.rho * bound.gamma * bound.max_y + delta_term + 1e-30
 
 

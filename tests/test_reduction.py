@@ -321,7 +321,7 @@ def test_solve_dense_memory_peak(sid, route):
     # One m x m working array plus the stored reflectors and the update
     # temporaries; explicit Q and P factors would push the peak past 3 m^2.
     # At m = 250 a panel's trailing update made as one product, or on the
-    # general route the panel workspace held into the per-reflector loop,
+    # general route every panel's workspace kept until the reduction ends,
     # would push it past 2.4 m^2.
     for m, bound in ((250, 2.4), (400, 3.0)):
         s = generate_system(sid, m)

@@ -113,6 +113,32 @@ def test_severed_rows_match_explicit_recipe():
     assert checked > 5_000
 
 
+def test_lock_step_left_chains_match_one_column_chains():
+    # The left chains of the identity, whose columns run in lock-step as in
+    # the pseudo-inverse, against the chains of each unit column on its own:
+    # column j of the sums equals the sums for e_j to the bit, and the
+    # maxima, which do not depend on y, are the same for every y.  The
+    # bidiagonal copies have every beta zero.
+    inputs = list(degenerate_inputs(13, 200))
+    inputs += [(BidiagonalMatrix(q=w.q, r=w.r), y) for w, y in inputs[:60]]
+    columns = 0
+    for w, y in inputs:
+        m = w.m
+        bands = _Bands(w)
+        sums, maxes = bands.left_chains(np.eye(m))
+        assert len(sums) == len(maxes) == m + 1
+        assert bands.left_chains(y)[1].tobytes() == maxes.tobytes()
+        for j in range(m):
+            e_j = np.zeros(m)
+            e_j[j] = 1.0
+            col_sums, col_maxes = bands.left_chains(e_j)
+            lock = np.array([np.broadcast_to(run, (m,))[j] for run in sums])
+            assert lock.tobytes() == col_sums.tobytes()
+            assert col_maxes.tobytes() == maxes.tobytes()
+            columns += 1
+    assert columns > 4_000
+
+
 def _within_bound(w, y, sol):
     if not np.all(np.isfinite(sol.x_plus)):
         return False

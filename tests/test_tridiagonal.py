@@ -11,7 +11,6 @@ from ccsolve.tridiagonal import (
     BlockPartition,
     probe_discrepancy,
     pseudo_inverse_tridiagonal,
-    rounding_budget,
     solve_cc_tridiagonal,
 )
 
@@ -30,7 +29,6 @@ def test_partition_properties():
     part = BlockPartition((5, 2))
     assert part.n == 2
     assert part.m == 5
-    assert list(part.blocks()) == [(3, 5), (1, 2)]
     # gamma^2 = sum over blocks of l_k * (l_k - l_{k+1}) = 5*3 + 2*2 = 19
     assert_allclose(part.gamma(), np.sqrt(19.0), rtol=1e-15)
     assert BlockPartition((4,)).gamma() == 4.0
@@ -129,12 +127,14 @@ def test_perturb_singular_zero():
 
 
 def test_rounding_budget_values():
+    # the bound's delta covers the representation rounding of W and y:
+    # eps1*norm_inf(W)*max|x_plus| + eps1*max|y|
     w = TridiagonalMatrix(q=np.array([2.0, 2.0]), p=np.array([1.0]),
                           r=np.array([1.0]))
     y = np.array([3.0, -5.0])
-    budget = rounding_budget(w, y)
-    assert_allclose(budget.h, EPS1 * norm_inf(w), rtol=1e-15)
-    assert_allclose(budget.delta, EPS1 * 5.0, rtol=1e-15)
+    sol = solve_cc_tridiagonal(w, y)
+    want = EPS1 * norm_inf(w) * np.max(np.abs(sol.x_plus)) + EPS1 * 5.0
+    assert_allclose(sol.bound.delta, want, rtol=1e-15)
 
 
 def test_residual_bound_formula_and_coverage():
@@ -145,7 +145,6 @@ def test_residual_bound_formula_and_coverage():
         x = rng.standard_normal(m)
         y = matvec(w, x)
         sol = solve_cc_tridiagonal(w, y)
-        budget = rounding_budget(w, y)
         bound = sol.bound
         # formula: eps1 * tau * rho * gamma * max|y| + Delta
         tau = max(np.max(np.abs(w.p)), np.max(np.abs(w.r)))
@@ -156,7 +155,8 @@ def test_residual_bound_formula_and_coverage():
         assert_allclose(bound.bound_value, want, rtol=1e-15)
         # the measured residual is covered
         residual = np.max(np.abs(matvec(w, sol.x_plus) - y))
-        delta_term = budget.h * np.max(np.abs(sol.x_plus)) + budget.delta
+        delta_term = (EPS1 * norm_inf(w) * np.max(np.abs(sol.x_plus))
+                      + EPS1 * np.max(np.abs(y)))
         assert residual <= EPS1 * tau * bound.rho * bound.gamma * bound.max_y + delta_term + 1e-30
 
 
