@@ -33,6 +33,7 @@ from .matrices import (
 from .minors import lambda_sequence
 from .reduction import (
     DenseSolveDiagnostics,
+    ErrorBudget,
     ReductionResult,
     backmap,
     reduce_general,
@@ -67,7 +68,6 @@ from .textio import (
 from .tridiagonal import (
     BlockPartition,
     CCSolution,
-    ErrorBudget,
     ResidualBound,
     SolveFlags,
     probe_discrepancy,

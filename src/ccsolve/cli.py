@@ -199,13 +199,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     summary.append(f"residual_inf: {residual:.6e}")
     regime = classify(condition_number_inf(w))
     summary.append(f"regime: {regime.label} (kappa_inf = {regime.mu:.6e})")
-    text = vector_to_text(x)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_vector(args.out, x)
         print("\n".join(summary))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(vector_to_text(x))
         print("\n".join(summary), file=sys.stderr)
     return 0
 
@@ -249,13 +247,11 @@ def _cmd_pinv(args: argparse.Namespace) -> int:
     pinv = pseudo_inverse_tridiagonal(
         w, phi_threshold=args.phi_threshold, growth_threshold=args.growth_threshold
     )
-    text = matrix_to_text(pinv)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_matrix(args.out, pinv)
         print(f"pseudo-inverse -> {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(matrix_to_text(pinv))
     return 0
 
 

@@ -124,24 +124,26 @@ def beta_sequence(lam, pp, rr, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
     beta_i = -p_i/lam[i]; a zero lam[i] gives -p_i, and a zero lam[i-1]
     gives -p_i*omega_{i-1} with omega_{i-1} = (-p_{i-1}*r_{i-1})^-1.  lam
-    depends on the matrix alone, so one pass serves every block.
+    depends on the matrix alone, so one pass serves every block.  On the
+    mirrored matrix J*W*J (J the exchange matrix: lam is G bottom-up, the
+    bands are r and p reversed) beta_{m+2-xi} is beta_hat_xi (:func:`_beta_hat`).
     """
     m = lam.size - 2
     beta = np.zeros(m + 1)
     perturbed = np.zeros(m + 1, dtype=np.int64)
-    p, lam_i = pp[2 : m + 1], lam[2 : m + 1]
-    after_zero = lam[1:m] == 0.0
-    divide = ~after_zero & (lam_i != 0.0)
+    lam_i = lam[2 : m + 1]
     # Overflow and inf*0 are data here, as in the scalar arithmetic of the
-    # sweep; the masks keep every exact zero out of the divisions.
+    # sweep; the zero rules keep every exact zero out of the divisions.
     with np.errstate(over="ignore", invalid="ignore"):
-        d = -pp[1:m] * rr[1:m]
-        pert = after_zero & (d == 0.0)
-        d[pert] = -perturbation_magnitude(scale)
-        omega = np.divide(1.0, d, out=np.zeros(m - 1), where=after_zero)
-        beta[2:] = np.where(after_zero, -p * omega, -p)
-        np.divide(-p, lam_i, out=beta[2:], where=divide)
-    perturbed[2:][pert] = np.flatnonzero(pert) + 1
+        np.negative(pp[2 : m + 1], out=beta[2:])
+        np.divide(beta[2:], lam_i, out=beta[2:], where=lam_i != 0.0)
+        above = np.flatnonzero(lam[1:m] == 0.0) + 1  # rows i-1 with lam 0
+        if above.size:
+            d = -pp[above] * rr[above]
+            pert = d == 0.0
+            d[pert] = -perturbation_magnitude(scale)
+            beta[above + 1] = -pp[above + 1] * (1.0 / d)
+            perturbed[above[pert] + 1] = above[pert]
     return beta, perturbed
 
 

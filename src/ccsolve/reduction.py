@@ -36,10 +36,11 @@ from .matrices import (
     frobenius_norm,
     norm_inf,
 )
-from .tridiagonal import CCSolution, ErrorBudget, solve_cc_tridiagonal
+from .tridiagonal import CCSolution, solve_cc_tridiagonal
 
 __all__ = [
     "DenseSolveDiagnostics",
+    "ErrorBudget",
     "ReductionResult",
     "backmap",
     "is_symmetric",
@@ -49,6 +50,16 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ErrorBudget:
+    """Data perturbation bounds of a dense reduction's band truncation: h
+    for the matrix, delta for the right-hand side (zero for a reduction
+    that truncates nothing)."""
+
+    h: float = 0.0
+    delta: float = 0.0
 
 
 # A stored Householder reflector (k, v): H = I - 2 v v^T acting on entries
@@ -78,7 +89,6 @@ class ReductionResult:
     factor P = H_n ... H_1.  The dense ``q_factor`` and ``p_factor`` are built
     from the reflectors on first access and cached."""
 
-    form: str
     matrix: TridiagonalMatrix | BidiagonalMatrix
     rhs: np.ndarray
     budget: ErrorBudget
@@ -248,7 +258,6 @@ def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
         m, frobenius_norm(a), float(np.linalg.norm(f)), "tridiagonal"
     )
     return ReductionResult(
-        form="tridiagonal",
         matrix=c3,
         rhs=_apply_reflectors(reflectors, f),
         budget=budget,
@@ -270,7 +279,6 @@ def reduce_general(a: DenseMatrix, f) -> ReductionResult:
         m, frobenius_norm(a), float(np.linalg.norm(f)), "bidiagonal"
     )
     return ReductionResult(
-        form="bidiagonal",
         matrix=c2,
         rhs=_apply_reflectors(left, f),
         budget=budget,

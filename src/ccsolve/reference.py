@@ -186,7 +186,7 @@ def solve_svd_truncated(
     if rel_tol is None:
         rel_tol = m * EPS1
     u, s, vt = np.linalg.svd(a.a)
-    smax = float(s[0]) if m else 0.0
+    smax = float(s[0])
     if emulate_failure and (smax == 0.0 or float(s[-1]) < EPS1 * smax):
         return SolverOutcome(
             solver_id="SVD", x=None, note="declined: matrix is rank-deficient at working precision"
@@ -245,8 +245,7 @@ def solve_tikhonov(
             note="delta_star below minimal attainable residual; smallest-alpha iterate",
         )
     # Walk the geometric grid until the discrepancy brackets delta_star.
-    lo, r_lo = alpha_min, r0
-    hi = alpha_min
+    lo = hi = alpha_min
     r_hi = r0
     while r_hi < delta_star:
         hi *= 10.0
@@ -258,7 +257,7 @@ def solve_tikhonov(
                 note="delta_star above attainable residual range; largest-alpha iterate",
             )
         if r_hi < delta_star:
-            lo, r_lo = hi, r_hi
+            lo = hi
     best_z, best_gap = (z0, abs(r0 - delta_star))
     for _ in range(200):
         mid = float(np.sqrt(lo * hi))

@@ -9,6 +9,8 @@ Numbers are written with 17 significant digits so values round-trip exactly.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .matrices import BidiagonalMatrix, DenseMatrix, Matrix, TridiagonalMatrix
@@ -139,10 +141,8 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_matrix(path, w: Matrix):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(matrix_to_text(w))
+    Path(path).write_text(matrix_to_text(w), encoding="utf-8")
 
 
 def write_vector(path, vec):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(vector_to_text(vec))
+    Path(path).write_text(vector_to_text(vec), encoding="utf-8")

@@ -24,12 +24,13 @@ can be computed as arrays.  A speculative numpy pass does this for the
 first block, the whole matrix for well-posed input: four recurrences
 (lambda, the left chain F, G and the right chain H) run as tight
 sequential loops, everything else elementwise in the scalar arithmetic's
-order, so the pass gives the scalar loop's values to the bit.  The scalar
-loop takes over at the first row where a check fires or an event is
-recorded, and runs every block after the first.  The bands, lambda and
-the left structure elements beta depend on the matrix alone and are built
-once per matrix; each inverse-row chain, left or right, runs its sums and
-maxima in one loop per right-hand side.
+order, so the pass gives the scalar loop's values to the bit; its G and
+beta_hat are lam and beta of the mirrored matrix J*W*J (J the exchange
+matrix).  The scalar loop takes over at the first row where a check fires
+or an event is recorded, and runs every block after the first.  The bands,
+lambda and the left structure elements beta depend on the matrix alone and
+are built once per matrix; each inverse-row chain, left or right, runs its
+sums and maxima in one loop per right-hand side.
 
 An upper-bidiagonal matrix is the p = 0 case and runs through the same
 sweep: the left structure elements vanish, every block inverse is upper
@@ -75,7 +76,6 @@ from .minors import (
 __all__ = [
     "BlockPartition",
     "CCSolution",
-    "ErrorBudget",
     "ResidualBound",
     "SolveFlags",
     "probe_discrepancy",
@@ -115,16 +115,6 @@ class BlockPartition:
         bounds = self.boundaries + (0,)
         total = sum(bounds[k] * (bounds[k] - bounds[k + 1]) for k in range(self.n))
         return float(np.sqrt(total))
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Data perturbation bounds of a dense reduction's band truncation: h
-    for the matrix, delta for the right-hand side (zero for a reduction
-    that truncates nothing)."""
-
-    h: float = 0.0
-    delta: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -487,21 +477,24 @@ def _first_block(bands, y, max_y, chains, x_reg, x_plus, phi_thr, growth_thr):
     accept them.
 
     The arrays span rows 1..m.  G and the right chain run as tight
-    sequential loops (the corner entry, which drives phi, is not needed:
-    phi is zero in the first block); the left chains F and F_max come in
-    as chains, from :meth:`_Bands.left_chains`.  b_ii, omega, beta_hat, x_i,
-    rho_i and the checks are elementwise, with the zero rules as masks and
-    each operation in the scalar row's order, so every accepted value is
-    the scalar loop's to the bit (an absent side adds -0.0, which changes
-    nothing, where the scalar loop skips it).  The pass stops at the first
-    row, from the bottom, with a non-finite x_i or rho_i, a failed probe of
-    the row below, a failed top-row check, or an event; it stops also at a
-    zero omega, and wherever a left chain reaches a perturbed beta, whether
-    or not the scalar loop records it.  Row m's own stops need only
-    G[m] = 1 and G[m-1] = q_m, so they are tested before any array is
-    built.  x_reg and x_plus are array.array buffers by paper row, x_reg
-    with a zero at m+1; phi is zero in the rows taken, and the rows above
-    the stop leave values in x_reg that the scalar loop overwrites.
+    sequential loops (the corner entry, which drives phi, is not needed: phi
+    is zero in the first block); the left chains F and F_max come in as
+    chains, from :meth:`_Bands.left_chains`.  beta_hat is the beta of the
+    mirrored matrix J*W*J, from :func:`beta_sequence` on G and the reversed
+    bands: every quotient and product of its zero rules has the operands of
+    :func:`_beta_hat`'s.  b_ii, omega, x_i, rho_i and the checks are
+    elementwise, with the zero rules as masks and each operation in the
+    scalar row's order, so every accepted value is the scalar loop's to the
+    bit (an absent side adds -0.0, which changes nothing, where the scalar
+    loop skips it).  The pass stops at the first row, from the bottom, with
+    a non-finite x_i or rho_i, a failed probe of the row below, a failed
+    top-row check, or an event; it stops also at a zero omega, and wherever
+    a left chain reaches a perturbed beta, whether or not the scalar loop
+    records it.  Row m's own stops need only G[m] = 1 and G[m-1] = q_m, so
+    they are tested before any array is built.  x_reg and x_plus are
+    array.array buffers by paper row, x_reg with a zero at m+1; phi is zero
+    in the rows taken, and the rows above the stop leave values in x_reg
+    that the scalar loop overwrites.
 
     Returns (i, rho, state): rows i+1..m are final in the buffers, rho is
     their largest entry magnitude, and state holds the arguments of
@@ -528,7 +521,8 @@ def _first_block(bands, y, max_y, chains, x_reg, x_plus, phi_thr, growth_thr):
         g_desc = minor_ratios(
             array("d", [math.nan]), 1.0, qq[m:0:-1], bands.prod[m + 1 : 1 : -1]
         )
-        g = np.frombuffer(g_desc)[::-1]  # g[i] = G[i]
+        g_up = np.frombuffer(g_desc)
+        g = g_up[::-1]  # g[i] = G[i]
         # b_ii and omega_i of rows 1..m, and the events they show
         lam_row, g_zero = lam_zero[1 : m + 1], g[1 : m + 1] == 0.0
         den = lam[2 : m + 2] + g[:m] - qq[1 : m + 1]
@@ -544,24 +538,14 @@ def _first_block(bands, y, max_y, chains, x_reg, x_plus, phi_thr, growth_thr):
             omega = np.where(diag_zero, 1.0 / d, omega)
             stop = np.where(diag_zero, d == 0.0, stop)
         stop |= (omega == 0.0) | f_reached[1 : m + 1]
-        # beta_hat_{i+1} = -r_{i+1}/G[i] of rows 1..m-1, and its zero rules
-        r_next, g_next = -rr[2 : m + 1], g[2 : m + 1]
-        beta_hat = r_next / g[1:m]
-        zero_next = g_next == 0.0
-        if zero_next.any() or g_zero[:-1].any():
-            # G[i+1] == 0 takes omega_{i+1} from a band product, perturbed
-            # where that is zero.  The pass needs no stop for it: row i+1
-            # then stops on its own zero band product, or, if lam[i+1] == 0,
-            # row i on its den = 0 + q_i - q_i.
-            d_next = neg_prod[3 : m + 2]
-            omega_perturbed = 1.0 / -perturbation_magnitude(bands.scale)
-            omega_next = np.where(d_next == 0.0, omega_perturbed, 1.0 / d_next)
-            beta_hat = np.where(g_zero[:-1], r_next, beta_hat)
-            beta_hat = np.where(zero_next, r_next * omega_next, beta_hat)
-        # the right chain of rows m..1, descending; row m opens the block
+        # the right chain of rows m..1 over beta_hat_m..beta_hat_2, the beta of
+        # J*W*J.  A perturbed beta_hat_{i+1} needs no stop: row i+1 then stops
+        # on its zero band product, or, if lam[i+1] == 0, row i on den = 0.
+        mirrored = (np.concatenate(([0.0], band[:0:-1])) for band in (rr, pp))
+        beta_hat, _ = beta_sequence(g_up, *mirrored, bands.scale)
         sums, maxes = _chain_run(
             array("d", [0.0]), array("d", [0.0]),
-            beta_hat[::-1], ~zero_next[::-1], memoryview(y[m:1:-1]),
+            beta_hat[2:], g_up[1:m] != 0.0, memoryview(y[m:1:-1]),
         )
         # x_i = b_ii*y_i + omega_i*H_i + omega_i*F_i and rho_i; lam[i] == 0
         # drops the right side, G[i] == 0 the left, the bottom row has no

@@ -101,6 +101,8 @@ def test_empty_solver_list_gives_no_records():
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
         run_suite("nonexistent-profile", seed=7)
+    with pytest.raises(ValueError, match="unknown solver id"):
+        run_suite("smoke", solvers=("LU",), seed=7)
 
 
 def test_records_sorted_and_deterministic():
@@ -206,6 +208,12 @@ def test_report_header_and_round_trip_with_nan_and_failures():
     )
     assert markdown[1] == "|" + " --- |" * 11
     assert len(markdown) == 2 + len(rows)
+    header, first, *_ = text.splitlines()
+    for bad in ("", "solver,regime\n" + first, header.upper() + "\n" + first):
+        with pytest.raises(ValueError, match="header"):
+            parse_report(bad)
+    with pytest.raises(ValueError, match="expected 11 fields"):
+        parse_report(header + "\n" + first.rsplit(",", 1)[0] + "\n")
 
 
 def test_unknown_format_rejected():

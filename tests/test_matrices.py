@@ -59,6 +59,23 @@ def test_band_length_validation():
         BidiagonalMatrix(q=np.ones(3), r=np.ones(3))
     with pytest.raises(ValueError):
         DenseMatrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        TridiagonalMatrix(q=np.ones((2, 2)), p=np.ones(3), r=np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        BidiagonalMatrix(q=np.array([1.0, np.inf]), r=np.ones(1))
+    for make in (
+        lambda: TridiagonalMatrix(q=[], p=[], r=[]),
+        lambda: BidiagonalMatrix(q=[], r=[]),
+        lambda: DenseMatrix(np.ones((0, 0))),
+    ):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            make()
+    with pytest.raises(ValueError, match="finite"):
+        TridiagonalMatrix(q=[1.0, np.nan], p=[0.0], r=[0.0])
+    with pytest.raises(ValueError, match="finite"):
+        BidiagonalMatrix(q=[1.0, 1.0], r=[np.nan])
+    with pytest.raises(ValueError, match="finite"):
+        DenseMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_matvec_matches_dense_product():
@@ -93,6 +110,8 @@ def test_matvec_dense_container():
     a = rng.standard_normal((5, 5))
     x = rng.standard_normal(5)
     assert_allclose(matvec(DenseMatrix(a), x), a @ x, rtol=1e-14)
+    with pytest.raises(TypeError, match="unsupported matrix type"):
+        matvec(a, x)
 
 
 def test_norms_match_numpy():

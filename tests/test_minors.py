@@ -256,6 +256,19 @@ def test_structure_elements_match_scalar_oracles():
                 assert events == ([(label, i)] if label else [])
             ref_list = [ref_g[k] for k in range(bottom + 1)]
             assert _bits(*g[: bottom + 1]) == _bits(*ref_list)
+            # beta_hat of the block is beta of the mirrored leading block
+            # J*W*J: G bottom-up as its lam, the bands r and p reversed
+            mirrored = (
+                np.concatenate(([0.0], np.array(band)[bottom + 1 : 0 : -1]))
+                for band in (rr, pp)
+            )
+            g_up = np.array([math.nan] + g[bottom::-1])
+            beta_hat, pert = beta_sequence(g_up, *mirrored, scale)
+            for xi in range(2, bottom + 1):
+                value, row = _beta_hat(xi, pp, rr, g, scale)
+                k = bottom + 2 - xi
+                assert _bits(beta_hat[k]) == _bits(value)
+                assert (bottom + 1 - pert[k] if pert[k] else 0) == row
             zeros += ref_list.count(0.0)
             nans += sum(math.isnan(v) for v in ref_list)
     assert zeros > 5000 and nans > 5000 and perturbed_rows > 200

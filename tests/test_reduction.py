@@ -26,8 +26,8 @@ from ccsolve.reduction import (
     reduce_symmetric,
     solve_dense,
 )
+from ccsolve.reduction import ErrorBudget
 from ccsolve.systems import classify, generate_system
-from ccsolve.tridiagonal import ErrorBudget
 from explicit_reduction import explicit_reduce_general, explicit_reduce_symmetric
 
 EPS1 = 2.0 ** -52
@@ -53,7 +53,6 @@ def test_symmetric_reduction_produces_tridiagonal():
         a = random_symmetric(rng, m)
         f = rng.standard_normal(m)
         red = reduce_symmetric(a, f)
-        assert red.form == "tridiagonal"
         assert isinstance(red.matrix, TridiagonalMatrix)
         # Q^T A Q = C within rounding
         qmat = red.q_factor
@@ -70,7 +69,6 @@ def test_general_reduction_produces_bidiagonal():
         a = DenseMatrix(rng.standard_normal((m, m)))
         f = rng.standard_normal(m)
         red = reduce_general(a, f)
-        assert red.form == "bidiagonal"
         assert isinstance(red.matrix, BidiagonalMatrix)
         # P A Q = C within rounding
         c = dense_array(red.matrix)
@@ -153,6 +151,8 @@ def test_budget_reference_value_and_validation():
     assert budget.delta >= 29.0 * EPS1
     # Below order 2 the reductions apply no reflector: the budget is zero.
     assert _reduction_budget(1, 1.0, 1.0, "bidiagonal") == ErrorBudget()
+    with pytest.raises(ValueError, match="too large"):
+        _reduction_budget(10**15, 1.0, 1.0, "bidiagonal")
 
 
 def _exact_budget_h(m, c, s):
@@ -222,6 +222,17 @@ def test_solve_dense_route_override():
     assert np.linalg.norm(z - x) / np.linalg.norm(x) <= 1e-10
     with pytest.raises(ValueError):
         solve_dense(a, y, route="sideways")
+
+
+def test_reduction_input_checks():
+    rng = np.random.default_rng(611)
+    a = random_symmetric(rng, 5)
+    for reduce in (reduce_symmetric, reduce_general):
+        with pytest.raises(ValueError, match="f must have length 5"):
+            reduce(a, np.ones(4))
+    a.a[0, 4] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        reduce_symmetric(a, np.ones(5))
 
 
 def _assert_matches_reference(arr, f, route):

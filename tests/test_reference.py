@@ -86,6 +86,11 @@ def test_gauss_fails_only_on_exact_zero_pivot():
     # bidiagonal with a zero diagonal entry cannot back-substitute
     w = BidiagonalMatrix(q=np.array([1.0, 0.0]), r=np.array([1.0]))
     assert solve_gauss(w, np.ones(2)).failed
+    # tridiagonal: a zero first pivot with a zero entry below it, no swap
+    w = TridiagonalMatrix(q=[0.0, 1.0, 1.0], p=[0.0, 1.0], r=[1.0, 1.0])
+    out = solve_gauss(w, np.ones(3))
+    assert out.failed
+    assert out.note == "exactly singular pivot"
 
 
 def test_qr_well_posed_dense():
@@ -142,6 +147,11 @@ def test_svd_truncated_minimal_norm_on_singular():
     oracle, *_ = np.linalg.lstsq(dense_array(s.matrix), s.y, rcond=None)
     rel = np.linalg.norm(out.x - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-4
+    # the zero matrix keeps no singular value: x = 0, rank 0
+    out = solve_svd_truncated(DenseMatrix(np.zeros((3, 3))), np.ones(3))
+    assert not out.failed
+    assert out.note == "numerical rank 0 of 3"
+    assert np.array_equal(out.x, np.zeros(3))
 
 
 def test_svd_full_rank_matches_solve():
@@ -233,3 +243,12 @@ def test_solver_ids():
     assert solve_qr(eye, y).solver_id == "QR"
     assert solve_svd_truncated(eye, y).solver_id == "SVD"
     assert solve_tikhonov(eye, y).solver_id == "TRM"
+
+
+def test_wrong_length_rhs_and_negative_target_rejected():
+    eye = DenseMatrix(np.eye(3))
+    for solve in (solve_gauss, solve_qr, solve_svd_truncated, solve_tikhonov):
+        with pytest.raises(ValueError, match="y must have length 3"):
+            solve(eye, np.ones(4))
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_tikhonov(eye, np.ones(3), delta_star=-1.0)

@@ -108,6 +108,9 @@ def test_order_validation():
         generate_system(0, 5)
     with pytest.raises(ValueError):
         generate_system(21, 5)
+    for k in (1, 7):
+        with pytest.raises(ValueError, match="interior k"):
+            generate_system(4, 7, params={"k": k})
 
 
 def test_classify_regimes():
@@ -117,6 +120,9 @@ def test_classify_regimes():
     assert classify(1e20).label == "pathological"
     assert classify(float("inf")).label == "pathological"
     assert classify(1e7).mu == 1e7
+    for mu in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            classify(mu)
 
 
 def test_perturbation_hits_target_exactly():
@@ -132,6 +138,8 @@ def test_perturbation_hits_target_exactly():
 
 def test_zero_perturbation_is_identity():
     s = generate_system(17, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        perturb_solution(s, -0.1, seed=11)
     pert, delta_y = perturb_solution(s, 0.0, seed=11)
     assert_array_equal(pert.x_exact, s.x_exact)
     assert_array_equal(pert.y, s.y)

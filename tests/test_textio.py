@@ -112,6 +112,32 @@ def test_wrong_entry_count_rejected():
         parse_vector("1 2 3\n4\n")
 
 
+def test_trailing_content_and_missing_lines_rejected():
+    with pytest.raises(ParseError, match="line 5: unexpected extra content"):
+        parse_matrix("tridiagonal 2\n1 2\n3\n4\n5\n")
+    with pytest.raises(ParseError, match="line 3: unexpected end of file"):
+        parse_matrix("bidiagonal 2\n1 2\n")
+    # trailing blank lines are not content
+    assert parse_matrix("bidiagonal 2\n1 2\n3\n\n  \n").m == 2
+
+
+def test_vector_blank_lines_skipped_and_empty_rejected():
+    assert_array_equal(parse_vector("\n1\n\n  \n2\n"), [1.0, 2.0])
+    for text in ("", "\n \n"):
+        with pytest.raises(ParseError, match="empty vector"):
+            parse_vector(text)
+
+
+def test_unsupported_type_not_formatted(tmp_path):
+    with pytest.raises(TypeError, match="unsupported matrix type"):
+        matrix_to_text(np.eye(2))
+    # the text is formatted before the file is opened: nothing is written
+    path = tmp_path / "w.matrix"
+    with pytest.raises(TypeError, match="unsupported matrix type"):
+        write_matrix(path, np.eye(2))
+    assert not path.exists()
+
+
 def test_vector_bad_token_reports_line():
     with pytest.raises(ParseError) as exc:
         parse_vector("1\n2\nbad\n")

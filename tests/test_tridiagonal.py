@@ -32,6 +32,12 @@ def test_partition_properties():
     # gamma^2 = sum over blocks of l_k * (l_k - l_{k+1}) = 5*3 + 2*2 = 19
     assert_allclose(part.gamma(), np.sqrt(19.0), rtol=1e-15)
     assert BlockPartition((4,)).gamma() == 4.0
+    for bounds in ((), (3, 0)):
+        with pytest.raises(ValueError, match="row >= 1"):
+            BlockPartition(bounds)
+    for bounds in ((3, 3), (2, 5)):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            BlockPartition(bounds)
 
 
 def test_single_block_identity_returns_rhs():
@@ -190,6 +196,9 @@ def test_input_validation():
     w = TridiagonalMatrix(q=np.ones(3), p=np.zeros(2), r=np.zeros(2))
     with pytest.raises(ValueError):
         solve_cc_tridiagonal(w, np.ones(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solve_cc_tridiagonal(w, np.array([1.0, bad, 1.0]))
 
 
 def test_events_record_splits():
