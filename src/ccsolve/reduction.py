@@ -33,6 +33,7 @@ from .matrices import (
     BidiagonalMatrix,
     DenseMatrix,
     TridiagonalMatrix,
+    _as_float_vector,
     frobenius_norm,
     norm_inf,
 )
@@ -246,9 +247,7 @@ def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
     if not is_symmetric(a):
         raise ValueError("matrix is not symmetric within tolerance")
     m = a.m
-    f = np.asarray(f, dtype=float)
-    if f.shape != (m,):
-        raise ValueError(f"f must have length {m}")
+    f = _as_float_vector(f, "f", m)
     arr = a.a.copy()
     reflectors = _symmetric_panels(arr)
     c3 = TridiagonalMatrix(
@@ -269,9 +268,7 @@ def reduce_general(a: DenseMatrix, f) -> ReductionResult:
     """Two-sided Householder reduction of a square matrix to upper-bidiagonal
     form C2 = P A Q with rhs P f."""
     m = a.m
-    f = np.asarray(f, dtype=float)
-    if f.shape != (m,):
-        raise ValueError(f"f must have length {m}")
+    f = _as_float_vector(f, "f", m)
     arr = a.a.copy()
     left, right = _general_panels(arr)
     c2 = BidiagonalMatrix(np.diag(arr).copy(), np.diag(arr, 1).copy())

@@ -22,6 +22,7 @@ from .matrices import (
     DenseMatrix,
     Matrix,
     TridiagonalMatrix,
+    _as_float_vector,
     dense_array,
     frobenius_norm,
 )
@@ -52,7 +53,7 @@ class SolverOutcome:
 
 def _gauss_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     m = a.shape[0]
-    aug = np.hstack([a.astype(float), y.reshape(-1, 1).astype(float)])
+    aug = np.hstack([a, y.reshape(-1, 1)])
     for k in range(m):
         piv = k + int(np.argmax(np.abs(aug[k:, k])))
         if aug[piv, k] == 0.0:
@@ -71,13 +72,13 @@ def _gauss_tridiagonal(c3: TridiagonalMatrix, y: np.ndarray) -> np.ndarray | Non
     # Banded LU with adjacent-row partial pivoting; pivoting introduces at
     # most one extra (second) superdiagonal of fill.
     m = c3.m
-    d = c3.q.astype(float).copy()
+    d = c3.q.copy()
     e1 = np.zeros(m)
     e1[: m - 1] = c3.r
     e2 = np.zeros(m)
     sub = np.zeros(m)
     sub[1:] = c3.p
-    b = np.asarray(y, dtype=float).copy()
+    b = y.copy()
     for k in range(m - 1):
         if abs(sub[k + 1]) > abs(d[k]):
             d[k], sub[k + 1] = sub[k + 1], d[k]
@@ -110,10 +111,9 @@ def _gauss_bidiagonal(c2: BidiagonalMatrix, y: np.ndarray) -> np.ndarray | None:
     if np.any(c2.q == 0.0):
         return None
     x = np.zeros(m)
-    b = np.asarray(y, dtype=float)
-    x[m - 1] = b[m - 1] / c2.q[m - 1]
+    x[m - 1] = y[m - 1] / c2.q[m - 1]
     for i in range(m - 2, -1, -1):
-        x[i] = (b[i] - c2.r[i] * x[i + 1]) / c2.q[i]
+        x[i] = (y[i] - c2.r[i] * x[i + 1]) / c2.q[i]
     return x
 
 
@@ -123,9 +123,7 @@ def solve_gauss(w: Matrix, y) -> SolverOutcome:
     Returns a solution even when the system is badly conditioned; fails only
     when elimination meets an exactly zero pivot with no admissible swap.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (w.m,):
-        raise ValueError(f"y must have length {w.m}")
+    y = _as_float_vector(y, "y", w.m)
     if isinstance(w, TridiagonalMatrix):
         x = _gauss_tridiagonal(w, y)
     elif isinstance(w, BidiagonalMatrix):
@@ -140,9 +138,7 @@ def solve_qr(a: DenseMatrix, y) -> SolverOutcome:
     """Householder QR followed by back substitution; fails only on an exactly
     zero diagonal entry of R."""
     m = a.m
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise ValueError(f"y must have length {m}")
+    y = _as_float_vector(y, "y", m)
     r_mat = a.a.copy()
     reflectors = []
     for k in range(m - 1):
@@ -180,9 +176,7 @@ def solve_svd_truncated(
     library routines that stop on rank deficiency.
     """
     m = a.m
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise ValueError(f"y must have length {m}")
+    y = _as_float_vector(y, "y", m)
     if rel_tol is None:
         rel_tol = m * EPS1
     u, s, vt = np.linalg.svd(a.a)
@@ -216,9 +210,7 @@ def solve_tikhonov(
     attainable residual the smallest-alpha iterate is returned with a note.
     """
     m = a.m
-    y = np.asarray(y, dtype=float)
-    if y.shape != (m,):
-        raise ValueError(f"y must have length {m}")
+    y = _as_float_vector(y, "y", m)
     if delta_star is not None and delta_star < 0.0:
         raise ValueError("delta_star must be nonnegative")
     arr = a.a

@@ -45,3 +45,17 @@ def _violations(system_id):
 )
 def test_residual_within_bound_up_to_order_260(system_id):
     assert _violations(system_id) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: system 10 at m=5 is singular and e_1..e_5 are "
+    "inconsistent right-hand sides; the residual is 0.67-1.0 against a bound "
+    "near 1e-15 and only truncated_zero is set",
+)
+def test_inconsistent_unit_rhs_within_bound():
+    s = generate_system(10, 5)
+    for e in np.eye(5):
+        sol = solve_cc_tridiagonal(s.matrix, e)
+        residual = float(np.max(np.abs(matvec(s.matrix, sol.x_plus) - e)))
+        assert residual <= sol.bound.bound_value

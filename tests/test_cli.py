@@ -102,6 +102,25 @@ def test_solve_rhs_length_mismatch_exits_2(tmp_path, capsys):
     assert err == "error: rhs length 6 does not match matrix order 5\n"
 
 
+@pytest.mark.parametrize("sid, solver", [
+    (6, "gs"), (6, "qr"), (6, "svd"), (6, "trm"), (6, "mcc"),
+    (16, "mcc"), (16, "mcs"),
+])
+def test_solve_nonfinite_rhs_exits_2(tmp_path, capsys, sid, solver):
+    # A nan in the rhs is an input error for every solver, not a failed solve.
+    prefix = tmp_path / "case"
+    assert main(["gen", str(sid), "5", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    y = read_vector(f"{prefix}.rhs")
+    y[2] = np.nan
+    write_vector(f"{prefix}.rhs", y)
+    code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
+                             "--rhs", f"{prefix}.rhs", "--solver", solver)
+    assert code == 2
+    assert out == ""
+    assert "must contain only finite values" in err
+
+
 def test_solve_reference_solver_prints_note(tmp_path, capsys):
     prefix = tmp_path / "case"
     assert main(["gen", "17", "5", "--out", str(prefix)]) == 0

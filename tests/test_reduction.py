@@ -230,6 +230,8 @@ def test_reduction_input_checks():
     for reduce in (reduce_symmetric, reduce_general):
         with pytest.raises(ValueError, match="f must have length 5"):
             reduce(a, np.ones(4))
+        with pytest.raises(ValueError, match="finite"):
+            reduce(a, [1.0, 1.0, np.inf, 1.0, 1.0])
     a.a[0, 4] += 1.0
     with pytest.raises(ValueError, match="not symmetric"):
         reduce_symmetric(a, np.ones(5))

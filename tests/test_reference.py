@@ -250,5 +250,7 @@ def test_wrong_length_rhs_and_negative_target_rejected():
     for solve in (solve_gauss, solve_qr, solve_svd_truncated, solve_tikhonov):
         with pytest.raises(ValueError, match="y must have length 3"):
             solve(eye, np.ones(4))
+        with pytest.raises(ValueError, match="finite"):
+            solve(eye, [1.0, np.nan, 1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         solve_tikhonov(eye, np.ones(3), delta_star=-1.0)
