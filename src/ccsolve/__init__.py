@@ -28,7 +28,6 @@ from .matrices import (
     frobenius_norm,
     matvec,
     norm_inf,
-    to_dense,
 )
 from .minors import lambda_sequence
 from .reduction import (

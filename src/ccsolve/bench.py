@@ -29,7 +29,6 @@ from .matrices import (
     _condition_from,
     _singular_extremes,
     matvec,
-    to_dense,
 )
 from .reduction import is_symmetric, solve_dense
 from .reference import (
@@ -41,7 +40,7 @@ from .reference import (
 )
 from .systems import TestSystem, classify, generate_system, perturb_solution
 from .textio import format_number
-from .tridiagonal import CCSolution, solve_cc_tridiagonal
+from .tridiagonal import CCSolution, _thresholds, solve_cc_tridiagonal
 
 __all__ = [
     "AggregateRow",
@@ -138,6 +137,9 @@ class SolverOptions:
     svd_rtol: float | None = None
     trm_delta: float | None = None
     emulate_svd: bool = False
+
+    def __post_init__(self):
+        _thresholds(self.phi_threshold, self.growth_threshold)  # raises on NaN
 
 
 @dataclass(frozen=True)
@@ -249,13 +251,13 @@ def _solve_one(
     elif solver_id == "GS":
         outcome = solve_gauss(w, y)
     elif solver_id == "QR":
-        outcome = solve_qr(to_dense(w), y)
+        outcome = solve_qr(w, y)
     elif solver_id == "SVD":
         outcome = solve_svd_truncated(
-            to_dense(w), y, opts.svd_rtol, emulate_failure=opts.emulate_svd
+            w, y, opts.svd_rtol, emulate_failure=opts.emulate_svd
         )
     elif solver_id == "TRM":
-        outcome = solve_tikhonov(to_dense(w), y, opts.trm_delta)
+        outcome = solve_tikhonov(w, y, opts.trm_delta)
     else:
         raise ValueError(f"unknown solver id {solver_id!r}")
     if not outcome.failed and not np.all(np.isfinite(outcome.x)):

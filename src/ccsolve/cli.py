@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -219,8 +220,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     report = emit_report(aggregate(records), format=args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        Path(args.out).write_text(report, encoding="utf-8")
         print(f"{len(records)} records -> {args.out}")
     else:
         sys.stdout.write(report)

@@ -30,7 +30,6 @@ __all__ = [
     "frobenius_norm",
     "matvec",
     "norm_inf",
-    "to_dense",
 ]
 
 
@@ -113,6 +112,14 @@ class DenseMatrix:
 
 
 Matrix = TridiagonalMatrix | BidiagonalMatrix | DenseMatrix
+_BANDED = (TridiagonalMatrix, BidiagonalMatrix)
+
+
+def _require(w, kinds):
+    """w itself, or TypeError when it is none of the container types kinds."""
+    if not isinstance(w, kinds):
+        raise TypeError(f"unsupported matrix type {type(w).__name__}")
+    return w
 
 
 def matvec(w: Matrix, x) -> np.ndarray:
@@ -120,9 +127,7 @@ def matvec(w: Matrix, x) -> np.ndarray:
     through their bands."""
     if isinstance(w, DenseMatrix):
         return w.a @ _as_float_vector(x, "x", w.m)
-    if not isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
-        raise TypeError(f"unsupported matrix type {type(w).__name__}")
-    x = _as_float_vector(x, "x", w.m)
+    x = _as_float_vector(x, "x", _require(w, _BANDED).m)
     y = w.q * x
     if w.m > 1:
         if isinstance(w, TridiagonalMatrix):
@@ -131,16 +136,12 @@ def matvec(w: Matrix, x) -> np.ndarray:
     return y
 
 
-def dense_array(w) -> np.ndarray:
-    """Dense ndarray with the entries of any matrix container (a plain
-    square ndarray passes through as a float copy)."""
+def dense_array(w: Matrix) -> np.ndarray:
+    """Dense ndarray with the entries of any matrix container, a copy for a
+    DenseMatrix."""
     if isinstance(w, DenseMatrix):
         return np.array(w.a, dtype=float)
-    if isinstance(w, np.ndarray):
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("array must be square and two-dimensional")
-        return np.array(w, dtype=float)
-    m = w.m
+    m = _require(w, _BANDED).m
     a = np.zeros((m, m))
     np.fill_diagonal(a, w.q)
     if m > 1:
@@ -148,12 +149,6 @@ def dense_array(w) -> np.ndarray:
         if isinstance(w, TridiagonalMatrix):
             a[np.arange(1, m), np.arange(m - 1)] = w.p
     return a
-
-
-def to_dense(w: Matrix) -> DenseMatrix:
-    """Dense container with the entries of a band container; a DenseMatrix
-    is returned unchanged."""
-    return w if isinstance(w, DenseMatrix) else DenseMatrix(dense_array(w))
 
 
 def _band_sums(w: TridiagonalMatrix | BidiagonalMatrix):
@@ -181,20 +176,18 @@ def band_maxima(w: TridiagonalMatrix | BidiagonalMatrix):
 
 def norm_inf(w: Matrix) -> float:
     """Maximum absolute row sum; O(m) from the bands of a band container."""
-    if isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
+    if isinstance(w, _BANDED):
         return float(np.max(_band_sums(w)[0]))
-    a = w.a if isinstance(w, DenseMatrix) else dense_array(w)
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+    return float(np.max(np.sum(np.abs(_require(w, DenseMatrix).a), axis=1)))
 
 
 def frobenius_norm(w: Matrix) -> float:
     """Euclidean (Frobenius) norm of the entries; O(m) from the bands of a
     band container."""
-    if isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
+    if isinstance(w, _BANDED):
         bands = [w.q, w.r] + ([w.p] if isinstance(w, TridiagonalMatrix) else [])
         return float(np.linalg.norm(np.concatenate(bands)))
-    a = w.a if isinstance(w, DenseMatrix) else dense_array(w)
-    return float(np.linalg.norm(a))
+    return float(np.linalg.norm(_require(w, DenseMatrix).a))
 
 
 def _singular_extremes(w: Matrix) -> tuple[float, float]:

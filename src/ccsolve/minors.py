@@ -20,7 +20,7 @@ from array import array
 
 import numpy as np
 
-from .matrices import EPS1, BidiagonalMatrix, TridiagonalMatrix
+from .matrices import EPS1, _BANDED, BidiagonalMatrix, TridiagonalMatrix, _require
 
 __all__ = [
     "lambda_sequence",
@@ -29,7 +29,7 @@ __all__ = [
 
 def padded_bands(w: TridiagonalMatrix | BidiagonalMatrix):
     """1-based padded copies of the bands: (m, qq, pp, rr)."""
-    m = w.m
+    m = _require(w, _BANDED).m
     qq = np.full(m + 2, np.nan)
     qq[1 : m + 1] = w.q
     pp = np.zeros(m + 2)

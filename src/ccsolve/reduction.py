@@ -34,6 +34,7 @@ from .matrices import (
     DenseMatrix,
     TridiagonalMatrix,
     _as_float_vector,
+    _require,
     frobenius_norm,
     norm_inf,
 )
@@ -109,7 +110,8 @@ class ReductionResult:
 
 def is_symmetric(a: DenseMatrix) -> bool:
     """True when max|a_ij - a_ji| <= 1e-12 * norm_inf(a)."""
-    return float(np.max(np.abs(a.a - a.a.T))) <= SYMMETRY_RTOL * norm_inf(a)
+    arr = _require(a, DenseMatrix).a
+    return float(np.max(np.abs(arr - arr.T))) <= SYMMETRY_RTOL * norm_inf(a)
 
 
 def _reflector(x: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -267,9 +269,9 @@ def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
 def reduce_general(a: DenseMatrix, f) -> ReductionResult:
     """Two-sided Householder reduction of a square matrix to upper-bidiagonal
     form C2 = P A Q with rhs P f."""
+    arr = _require(a, DenseMatrix).a.copy()
     m = a.m
     f = _as_float_vector(f, "f", m)
-    arr = a.a.copy()
     left, right = _general_panels(arr)
     c2 = BidiagonalMatrix(np.diag(arr).copy(), np.diag(arr, 1).copy())
     budget = _reduction_budget(

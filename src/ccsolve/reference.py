@@ -1,5 +1,6 @@
-"""Textbook comparison solvers: Gaussian elimination with partial pivoting
-(band-exploiting for the banded matrix types), Householder QR, truncated-SVD
+"""Textbook comparison solvers on any matrix container: Gaussian elimination
+with partial pivoting (band-exploiting for the banded matrix types), and on
+the entries :func:`matrices.dense_array` reads, Householder QR, truncated-SVD
 pseudo-solution, and Tikhonov regularization with a discrepancy-principle
 choice of the regularization parameter.
 
@@ -19,12 +20,11 @@ from .matrices import (
     EPS0,
     EPS1,
     BidiagonalMatrix,
-    DenseMatrix,
     Matrix,
     TridiagonalMatrix,
     _as_float_vector,
+    _require,
     dense_array,
-    frobenius_norm,
 )
 from .reduction import _apply_reflectors, _reflector
 
@@ -123,7 +123,7 @@ def solve_gauss(w: Matrix, y) -> SolverOutcome:
     Returns a solution even when the system is badly conditioned; fails only
     when elimination meets an exactly zero pivot with no admissible swap.
     """
-    y = _as_float_vector(y, "y", w.m)
+    y = _as_float_vector(y, "y", _require(w, Matrix).m)
     if isinstance(w, TridiagonalMatrix):
         x = _gauss_tridiagonal(w, y)
     elif isinstance(w, BidiagonalMatrix):
@@ -134,12 +134,12 @@ def solve_gauss(w: Matrix, y) -> SolverOutcome:
     return SolverOutcome(solver_id="GS", x=x, note=note)
 
 
-def solve_qr(a: DenseMatrix, y) -> SolverOutcome:
+def solve_qr(w: Matrix, y) -> SolverOutcome:
     """Householder QR followed by back substitution; fails only on an exactly
     zero diagonal entry of R."""
-    m = a.m
+    r_mat = dense_array(w)
+    m = w.m
     y = _as_float_vector(y, "y", m)
-    r_mat = a.a.copy()
     reflectors = []
     for k in range(m - 1):
         step = _reflector(r_mat[k:, k])
@@ -161,7 +161,7 @@ def solve_qr(a: DenseMatrix, y) -> SolverOutcome:
 
 
 def solve_svd_truncated(
-    a: DenseMatrix,
+    w: Matrix,
     y,
     rel_tol: float | None = None,
     emulate_failure: bool = False,
@@ -175,11 +175,12 @@ def solve_svd_truncated(
     systems (sigma_min < eps1 * sigma_max) with a failure marker, mimicking
     library routines that stop on rank deficiency.
     """
-    m = a.m
+    arr = dense_array(w)
+    m = w.m
     y = _as_float_vector(y, "y", m)
     if rel_tol is None:
         rel_tol = m * EPS1
-    u, s, vt = np.linalg.svd(a.a)
+    u, s, vt = np.linalg.svd(arr)
     smax = float(s[0])
     if emulate_failure and (smax == 0.0 or float(s[-1]) < EPS1 * smax):
         return SolverOutcome(
@@ -195,7 +196,7 @@ def solve_svd_truncated(
 
 
 def solve_tikhonov(
-    a: DenseMatrix,
+    w: Matrix,
     y,
     delta_star: float | None = None,
 ) -> SolverOutcome:
@@ -209,11 +210,11 @@ def solve_tikhonov(
     the smallest-alpha iterate; when delta_star lies below the minimal
     attainable residual the smallest-alpha iterate is returned with a note.
     """
-    m = a.m
+    arr = dense_array(w)
+    m = w.m
     y = _as_float_vector(y, "y", m)
     if delta_star is not None and delta_star < 0.0:
         raise ValueError("delta_star must be nonnegative")
-    arr = a.a
     ata = arr.T @ arr
     aty = arr.T @ y
     eye = np.eye(m)
@@ -226,8 +227,10 @@ def solve_tikhonov(
     alpha_min = EPS1**2 * scale
     z0, r0 = solve_at(alpha_min)
     if delta_star is None:
+        # ||A||_E of arr itself; frobenius_norm's band sum can differ in a bit
         delta_star = EPS1 * (
-            frobenius_norm(a) * float(np.linalg.norm(z0)) + float(np.linalg.norm(y))
+            float(np.linalg.norm(arr)) * float(np.linalg.norm(z0))
+            + float(np.linalg.norm(y))
         )
     tol = 1e-3 * max(delta_star, EPS1 * float(np.linalg.norm(y)))
     if r0 > delta_star:

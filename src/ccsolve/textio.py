@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import BidiagonalMatrix, DenseMatrix, Matrix, TridiagonalMatrix
+from .matrices import BidiagonalMatrix, DenseMatrix, Matrix, TridiagonalMatrix, _require
 
 __all__ = [
     "ParseError",
@@ -118,10 +118,8 @@ def matrix_to_text(w: Matrix) -> str:
         lines = [f"tridiagonal {w.m}", row(w.q), row(w.p), row(w.r)]
     elif isinstance(w, BidiagonalMatrix):
         lines = [f"bidiagonal {w.m}", row(w.q), row(w.r)]
-    elif isinstance(w, DenseMatrix):
-        lines = [f"dense {w.m}"] + [row(r) for r in w.a]
     else:
-        raise TypeError(f"unsupported matrix type {type(w).__name__}")
+        lines = [f"dense {_require(w, DenseMatrix).m}"] + [row(r) for r in w.a]
     return "\n".join(lines) + "\n"
 
 
@@ -131,13 +129,11 @@ def vector_to_text(vec) -> str:
 
 
 def read_matrix(path) -> Matrix:
-    with open(path, encoding="utf-8") as handle:
-        return parse_matrix(handle.read())
+    return parse_matrix(Path(path).read_text(encoding="utf-8"))
 
 
 def read_vector(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as handle:
-        return parse_vector(handle.read())
+    return parse_vector(Path(path).read_text(encoding="utf-8"))
 
 
 def write_matrix(path, w: Matrix):

@@ -191,11 +191,14 @@ def _build_bound(w, partition, rho, max_y, x_plus, norm, tau) -> ResidualBound:
 
 def _thresholds(phi_threshold, growth_threshold) -> tuple[float, float]:
     """The probe and growth thresholds, with their defaults 2*sqrt(eps1) and
-    1/eps1 (see :func:`solve_cc_tridiagonal`)."""
+    1/eps1 (see :func:`solve_cc_tridiagonal`).  NaN raises ValueError: it
+    would switch its check off silently, as inf does on purpose."""
     phi_thr = (
         2.0 * float(np.sqrt(EPS1)) if phi_threshold is None else float(phi_threshold)
     )
     growth_thr = 1.0 / EPS1 if growth_threshold is None else float(growth_threshold)
+    if math.isnan(phi_thr) or math.isnan(growth_thr):
+        raise ValueError("phi_threshold and growth_threshold must not be NaN")
     return phi_thr, growth_thr
 
 

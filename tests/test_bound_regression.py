@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ccsolve.tridiagonal import solve_cc_bidiagonal
 from ccsolve.matrices import matvec
 from ccsolve.systems import generate_system
 from ccsolve.tridiagonal import solve_cc_tridiagonal
@@ -11,21 +10,19 @@ from ccsolve.tridiagonal import solve_cc_tridiagonal
 ORDERS = range(3, 261, 3)
 
 
+def _within_bound(s):
+    """Whether the solve of system s meets its residual bound; a non-finite
+    x_plus (which matvec rejects) counts as a violation."""
+    sol = solve_cc_tridiagonal(s.matrix, s.y)
+    if not np.all(np.isfinite(sol.x_plus)):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(matvec(s.matrix, sol.x_plus) - s.y)))
+    return residual <= sol.bound.bound_value
+
+
 def _violations(system_id):
-    solve = solve_cc_bidiagonal if system_id <= 5 else solve_cc_tridiagonal
-    failed = []
-    for m in ORDERS:
-        s = generate_system(system_id, m)
-        sol = solve(s.matrix, s.y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = (
-                float(np.max(np.abs(matvec(s.matrix, sol.x_plus) - s.y)))
-                if np.all(np.isfinite(sol.x_plus))
-                else np.inf
-            )
-        if not residual <= sol.bound.bound_value:
-            failed.append(m)
-    return failed
+    return [m for m in ORDERS if not _within_bound(generate_system(system_id, m))]
 
 
 @pytest.mark.parametrize(
@@ -45,6 +42,18 @@ def _violations(system_id):
 )
 def test_residual_within_bound_up_to_order_260(system_id):
     assert _violations(system_id) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: growth compounds across the one-row blocks of the "
+    "bidiagonal systems at scale; the residual is inf, NaN or 1.4e308 against "
+    "bounds of 1e292-1e295 and only truncated_zero is set",
+)
+@pytest.mark.parametrize("system_id", [1, 3, 4, 5])
+def test_residual_within_bound_at_order_2000(system_id):
+    assert _within_bound(generate_system(system_id, 2000))
 
 
 @pytest.mark.xfail(

@@ -80,6 +80,8 @@ def test_solve_missing_file_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", "--matrix", str(tmp_path / "no.matrix"),
                              "--rhs", str(tmp_path / "no.rhs"))
     assert code == 2
+    assert err == (f"error: [Errno 2] No such file or directory: "
+                   f"'{tmp_path / 'no.matrix'}'\n")
 
 
 def test_solve_malformed_matrix_exits_2(tmp_path, capsys):
@@ -263,6 +265,25 @@ def test_pinv_writes_matrix_to_stdout_without_out(tmp_path, capsys):
     assert dense_array(parse_matrix(out)).shape == (5, 5)
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--rhs", "{prefix}.rhs", "--growth-threshold", "nan"],
+    ["pinv", "--phi-threshold", "nan"],
+    ["bench", "--profile", "smoke", "--growth-threshold", "nan"],
+])
+def test_nan_threshold_exits_2(tmp_path, capsys, command):
+    # a NaN threshold is an input error, not a switched-off check
+    prefix = tmp_path / "case"
+    assert main(["gen", "2", "50", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    args = [a.format(prefix=prefix) for a in command]
+    if command[0] != "bench":
+        args += ["--matrix", f"{prefix}.matrix"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.endswith("must not be NaN\n")
+
+
 def test_pinv_dense_rejected(tmp_path, capsys):
     prefix = tmp_path / "case"
     assert main(["gen", "17", "4", "--out", str(prefix)]) == 0
@@ -293,6 +314,14 @@ def test_bench_smoke_csv(tmp_path, capsys):
     lines = text.strip().splitlines()
     assert lines[0].startswith("solver,regime,family,count")
     assert len(lines) > 1
+    # the --out file holds the stdout report byte for byte
+    code, stdout, err = run_cli(capsys, "bench", "--profile", "smoke", "--seed", "7")
+    assert out_path.read_bytes() == stdout.encode("utf-8")
+    missing = tmp_path / "no" / "report.csv"
+    code, out, err = run_cli(capsys, "bench", "--profile", "smoke",
+                             "--out", str(missing))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_bench_deterministic_output(tmp_path, capsys):

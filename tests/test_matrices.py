@@ -15,9 +15,16 @@ from ccsolve.matrices import (
     frobenius_norm,
     matvec,
     norm_inf,
-    to_dense,
+)
+from ccsolve.reduction import reduce_general, reduce_symmetric, solve_dense
+from ccsolve.reference import (
+    solve_gauss,
+    solve_qr,
+    solve_svd_truncated,
+    solve_tikhonov,
 )
 from ccsolve.systems import classify, generate_system
+from ccsolve.tridiagonal import pseudo_inverse_tridiagonal, solve_cc_tridiagonal
 
 EPS1 = 2.0 ** -52
 
@@ -138,21 +145,29 @@ def test_band_norms_match_dense_formula():
             assert_allclose(frobenius_norm(w), np.sqrt(np.sum(a * a)), rtol=1e-15)
 
 
-def test_to_dense_round_trip():
-    rng = np.random.default_rng(105)
-    w = random_tridiagonal(rng, 6)
-    d = to_dense(w)
-    assert isinstance(d, DenseMatrix)
-    assert_array_equal(d.a, dense_array(w))
-    assert to_dense(d) is d
+BAND = TridiagonalMatrix(q=np.ones(3), p=np.ones(2), r=np.ones(2))
+DENSE = DenseMatrix(np.eye(3))
 
 
-def test_dense_array_accepts_plain_square_array():
-    a = np.arange(9.0).reshape(3, 3)
-    out = dense_array(a)
-    assert_array_equal(out, a)
-    with pytest.raises(ValueError):
-        dense_array(np.ones((2, 3)))
+@pytest.mark.parametrize("call", [
+    lambda: solve_cc_tridiagonal(DENSE, np.ones(3)),
+    lambda: pseudo_inverse_tridiagonal(DENSE),
+    lambda: solve_dense(BAND, np.ones(3)),
+    lambda: reduce_general(BAND, np.ones(3)),
+    lambda: reduce_symmetric(BAND, np.ones(3)),
+    lambda: dense_array(np.eye(3)),
+    lambda: norm_inf(np.eye(3)),
+    lambda: frobenius_norm(np.eye(3)),
+    lambda: solve_gauss(np.eye(3), np.ones(3)),
+    lambda: solve_qr(np.eye(3), np.ones(3)),
+    lambda: solve_svd_truncated(np.eye(3), np.ones(3)),
+    lambda: solve_tikhonov(np.eye(3), np.ones(3)),
+], ids=["cc-dense", "pinv-dense", "solve_dense-band", "reduce_general-band",
+        "reduce_symmetric-band", "dense_array-ndarray", "norm_inf-ndarray",
+        "frobenius_norm-ndarray", "gauss-ndarray", "qr-ndarray", "svd-ndarray", "trm-ndarray"])
+def test_wrong_container_raises_type_error(call):
+    with pytest.raises(TypeError, match="unsupported matrix type"):
+        call()
 
 
 def test_condition_number_scale_invariant_in_ratio():

@@ -53,6 +53,12 @@ def test_matches_column_loop_with_thresholds(thresholds):
             assert_same(catalogued(sid, m), **thresholds)
 
 
+@pytest.mark.parametrize("knob", ["phi_threshold", "growth_threshold"])
+def test_nan_threshold_rejected(knob):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        pseudo_inverse_tridiagonal(generate_system(2, 5).matrix, **{knob: np.nan})
+
+
 def test_matches_column_loop_on_degenerate_bands():
     # Bands of both types with entries from small integers (exact zeros in
     # lam and G, perturbed structure elements, truncated diagonals) or from

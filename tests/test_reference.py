@@ -254,3 +254,22 @@ def test_wrong_length_rhs_and_negative_target_rejected():
             solve(eye, [1.0, np.nan, 1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         solve_tikhonov(eye, np.ones(3), delta_star=-1.0)
+
+
+@pytest.mark.parametrize("solve", [solve_qr, solve_svd_truncated, solve_tikhonov])
+@pytest.mark.parametrize("m", [5, 30])
+def test_band_input_matches_its_dense_container(solve, m):
+    # QR, SVD and TRM read a band container through dense_array, so band
+    # input gives the x and note (or the error) of the same entries in a
+    # DenseMatrix.
+    def run(w, y):
+        try:
+            with np.errstate(all="ignore"):
+                out = solve(w, y)
+        except np.linalg.LinAlgError as exc:  # TRM on an exactly singular W
+            return repr(exc)
+        return out.note, None if out.failed else out.x.tobytes()
+
+    for sid in range(1, 11):
+        s = generate_system(sid, m)
+        assert run(s.matrix, s.y) == run(DenseMatrix(dense_array(s.matrix)), s.y)

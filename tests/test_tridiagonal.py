@@ -199,6 +199,10 @@ def test_input_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             solve_cc_tridiagonal(w, np.array([1.0, bad, 1.0]))
+    # a NaN threshold would switch its check off silently, as inf does
+    for knob in ("phi_threshold", "growth_threshold"):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            solve_cc_tridiagonal(w, np.ones(3), **{knob: np.nan})
 
 
 def test_events_record_splits():
