@@ -16,7 +16,7 @@ both report formats, parse_report and the means of aggregate all read it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -130,13 +130,11 @@ _FIELD_TYPES = get_type_hints(AggregateRow)  # parses a CSV value per field
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunable knobs forwarded to the individual solvers."""
+    """The banded sweep's two thresholds, forwarded to MCC and MCS; the
+    reference solvers run at their defaults."""
 
     phi_threshold: float | None = None
     growth_threshold: float | None = None
-    svd_rtol: float | None = None
-    trm_delta: float | None = None
-    emulate_svd: bool = False
 
     def __post_init__(self):
         _thresholds(self.phi_threshold, self.growth_threshold)  # raises on NaN
@@ -225,14 +223,17 @@ def _overflow_is_data():
 
 
 def _solve_one(
-    solver_id: str, w: Matrix, y, opts: SolverOptions
+    solver_id: str, w: Matrix, y, opts: SolverOptions, emulate_svd: bool = False
 ) -> tuple[SolverOutcome, CCSolution | None]:
     """Run one solver by id: the one dispatch behind the bench and the CLI.
 
     Returns the outcome and, for MCC and MCS, the inner banded solution
-    (None for the reference solvers).  A non-finite x becomes a failed
-    outcome with the note "error: non-finite solution"; exceptions from the
-    solvers propagate to the caller.
+    (None for the reference solvers).  The SVD solver declines
+    pathologically conditioned systems when emulate_svd is set (a profile's
+    switch).  A numeric failure is a failed outcome: a non-finite x gets the
+    note "error: non-finite solution", TRM's LinAlgError on a singular
+    A^T A the note "error: <message>".  Other exceptions from the solvers
+    propagate to the caller.
     """
     inner = None
     thresholds = dict(
@@ -253,11 +254,12 @@ def _solve_one(
     elif solver_id == "QR":
         outcome = solve_qr(w, y)
     elif solver_id == "SVD":
-        outcome = solve_svd_truncated(
-            w, y, opts.svd_rtol, emulate_failure=opts.emulate_svd
-        )
+        outcome = solve_svd_truncated(w, y, emulate_failure=emulate_svd)
     elif solver_id == "TRM":
-        outcome = solve_tikhonov(w, y, opts.trm_delta)
+        try:
+            outcome = solve_tikhonov(w, y)
+        except np.linalg.LinAlgError as exc:  # A^T A + alpha E exactly singular
+            outcome = SolverOutcome(solver_id, None, f"error: {exc}")
     else:
         raise ValueError(f"unknown solver id {solver_id!r}")
     if not outcome.failed and not np.all(np.isfinite(outcome.x)):
@@ -284,14 +286,17 @@ def _run_cell(
     solver_id: str,
     info: _SystemInfo,
     opts: SolverOptions,
+    emulate_svd: bool,
     timing: bool,
     target_dx: float | None,
 ) -> BenchRecord:
     t0 = time.perf_counter()
     with _overflow_is_data():
         try:
-            outcome, _ = _solve_one(solver_id, solved.matrix, solved.y, opts)
-        except (FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
+            outcome, _ = _solve_one(
+                solver_id, solved.matrix, solved.y, opts, emulate_svd
+            )
+        except (FloatingPointError, ValueError) as exc:
             outcome = SolverOutcome(solver_id, None, f"error: {exc}")
         wall = time.perf_counter() - t0 if timing else 0.0
         metrics = (None,) * 5
@@ -362,10 +367,8 @@ def run_suite(
             raise ValueError(f"unknown solver id {sid!r}")
     if opts is None:
         opts = SolverOptions()
-    if prof.emulate_svd and not opts.emulate_svd:
-        opts = replace(opts, emulate_svd=True)
     records = [
-        _run_cell(solved, base, sid, info, opts, timing, target_dx)
+        _run_cell(solved, base, sid, info, opts, prof.emulate_svd, timing, target_dx)
         for solved, base, info, target_dx in _cases(prof, seed)
         for sid in solver_list
         if sid != "MCS" or mcs_applicable(solved.matrix)

@@ -71,28 +71,6 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    """The sweep's knobs plus those of the SVD and Tikhonov solvers."""
-    _add_threshold_flags(parser)
-    parser.add_argument(
-        "--svd-rtol",
-        type=float,
-        default=None,
-        help="relative truncation tolerance of the SVD solver (default m*eps1)",
-    )
-    parser.add_argument(
-        "--trm-delta",
-        type=float,
-        default=None,
-        help="discrepancy target delta* of the Tikhonov solver",
-    )
-    parser.add_argument(
-        "--emulate-svd-failure",
-        action="store_true",
-        help="make the SVD solver decline pathologically conditioned systems",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccsolve",
@@ -110,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solver", choices=_SOLVER_CHOICES, default="mcc", help="solver to run"
     )
     p_solve.add_argument("--out", help="write the solution vector here")
-    _add_solver_flags(p_solve)
+    _add_threshold_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a benchmark profile")
@@ -131,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--timing", action="store_true", help="record wall-clock times"
     )
-    _add_solver_flags(p_bench)
+    _add_threshold_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate a test system")
@@ -154,13 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _opts_from(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(
-        phi_threshold=args.phi_threshold,
-        growth_threshold=args.growth_threshold,
-        svd_rtol=args.svd_rtol,
-        trm_delta=args.trm_delta,
-        emulate_svd=args.emulate_svd_failure,
-    )
+    return SolverOptions(args.phi_threshold, args.growth_threshold)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

@@ -169,17 +169,19 @@ def solve_svd_truncated(
     """Pseudo-solution through the full SVD with small singular values zeroed.
 
     Singular values at or below rel_tol * sigma_max (default rel_tol = m *
-    eps1) are treated as zero, and the minimal-norm solution on the retained
-    subspace is returned; the note records the numerical rank.  With
-    emulate_failure=True the solver declines pathologically conditioned
-    systems (sigma_min < eps1 * sigma_max) with a failure marker, mimicking
-    library routines that stop on rank deficiency.
+    eps1; NaN raises ValueError) are treated as zero, and the minimal-norm
+    solution on the retained subspace is returned; the note records the
+    numerical rank.  With emulate_failure=True the solver declines
+    pathologically conditioned systems (sigma_min < eps1 * sigma_max) with a
+    failure marker, mimicking library routines that stop on rank deficiency.
     """
     arr = dense_array(w)
     m = w.m
     y = _as_float_vector(y, "y", m)
     if rel_tol is None:
         rel_tol = m * EPS1
+    elif np.isnan(rel_tol):
+        raise ValueError("rel_tol must not be NaN")
     u, s, vt = np.linalg.svd(arr)
     smax = float(s[0])
     if emulate_failure and (smax == 0.0 or float(s[-1]) < EPS1 * smax):
@@ -207,14 +209,15 @@ def solve_tikhonov(
     bisects on the monotone discrepancy r(alpha) = ||A z - y|| until
     |r(alpha) - delta_star| <= 1e-3 * max(delta_star, eps1 * ||y||).  When
     delta_star is None it defaults to eps1 * (||A||_E ||z0|| + ||y||) with z0
-    the smallest-alpha iterate; when delta_star lies below the minimal
-    attainable residual the smallest-alpha iterate is returned with a note.
+    the smallest-alpha iterate, and a negative or NaN one raises ValueError;
+    when delta_star lies below the minimal attainable residual the
+    smallest-alpha iterate is returned with a note.
     """
     arr = dense_array(w)
     m = w.m
     y = _as_float_vector(y, "y", m)
-    if delta_star is not None and delta_star < 0.0:
-        raise ValueError("delta_star must be nonnegative")
+    if delta_star is not None and not delta_star >= 0.0:
+        raise ValueError("delta_star must be nonnegative and not NaN")
     ata = arr.T @ arr
     aty = arr.T @ y
     eye = np.eye(m)

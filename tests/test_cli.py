@@ -179,12 +179,19 @@ def test_solve_mcs_rejects_nonsymmetric(tmp_path, capsys):
 
 
 def test_solve_reference_failure_exits_3(tmp_path, capsys):
+    # On system 20 GS meets an exactly singular pivot and TRM an exactly
+    # singular A^T A + alpha E: numeric failures, not input errors.
     prefix = tmp_path / "case"
     assert main(["gen", "20", "4", "--out", str(prefix)]) == 0
     capsys.readouterr()
     code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
                              "--rhs", f"{prefix}.rhs", "--solver", "gs")
     assert code == 3
+    code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
+                             "--rhs", f"{prefix}.rhs", "--solver", "trm")
+    assert code == 3
+    assert out == ""
+    assert err == "TRM failed: error: Singular matrix\n"
 
 
 @pytest.mark.parametrize("solver", ["gs", "qr"])
@@ -294,13 +301,20 @@ def test_pinv_dense_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [["--svd-rtol", "5"], ["--trm-delta", "1"],
                                   ["--emulate-svd-failure"]])
-def test_pinv_rejects_reference_solver_flags(tmp_path, capsys, flag):
-    # pinv runs only the banded sweep, so it takes only the sweep's knobs.
+@pytest.mark.parametrize("command", ["solve", "bench", "pinv"])
+def test_commands_reject_reference_solver_flags(tmp_path, capsys, command, flag):
+    # The reference solvers run at their defaults and SVD emulation belongs
+    # to a bench profile, so every command takes only the sweep's knobs.
     prefix = tmp_path / "case"
     assert main(["gen", "10", "3", "--out", str(prefix)]) == 0
     capsys.readouterr()
+    args = {
+        "solve": ["--matrix", f"{prefix}.matrix", "--rhs", f"{prefix}.rhs"],
+        "bench": ["--profile", "smoke"],
+        "pinv": ["--matrix", f"{prefix}.matrix"],
+    }[command]
     with pytest.raises(SystemExit) as exc:
-        main(["pinv", "--matrix", f"{prefix}.matrix", *flag])
+        main([command, *args, *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -254,6 +254,10 @@ def test_wrong_length_rhs_and_negative_target_rejected():
             solve(eye, [1.0, np.nan, 1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         solve_tikhonov(eye, np.ones(3), delta_star=-1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        solve_tikhonov(eye, np.ones(3), delta_star=np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        solve_svd_truncated(eye, np.ones(3), rel_tol=np.nan)
 
 
 @pytest.mark.parametrize("solve", [solve_qr, solve_svd_truncated, solve_tikhonov])
