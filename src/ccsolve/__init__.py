@@ -8,7 +8,6 @@ from .bench import (
     BenchRecord,
     PROFILES,
     Profile,
-    SolverOptions,
     aggregate,
     emit_report,
     error_metrics,

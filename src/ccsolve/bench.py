@@ -22,10 +22,9 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .matrices import (
-    BidiagonalMatrix,
+    _BANDED,
     DenseMatrix,
     Matrix,
-    TridiagonalMatrix,
     _condition_from,
     _singular_extremes,
     matvec,
@@ -40,7 +39,7 @@ from .reference import (
 )
 from .systems import TestSystem, classify, generate_system, perturb_solution
 from .textio import format_number
-from .tridiagonal import CCSolution, _thresholds, solve_cc_tridiagonal
+from .tridiagonal import CCSolution, solve_cc_tridiagonal
 
 __all__ = [
     "AggregateRow",
@@ -49,7 +48,6 @@ __all__ = [
     "PROFILES",
     "Profile",
     "SOLVER_IDS",
-    "SolverOptions",
     "aggregate",
     "emit_report",
     "error_metrics",
@@ -126,18 +124,6 @@ _COLUMNS = (
 
 CSV_HEADER = ",".join(col.csv for col in _COLUMNS)
 _FIELD_TYPES = get_type_hints(AggregateRow)  # parses a CSV value per field
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """The banded sweep's two thresholds, forwarded to MCC and MCS; the
-    reference solvers run at their defaults."""
-
-    phi_threshold: float | None = None
-    growth_threshold: float | None = None
-
-    def __post_init__(self):
-        _thresholds(self.phi_threshold, self.growth_threshold)  # raises on NaN
 
 
 @dataclass(frozen=True)
@@ -223,9 +209,11 @@ def _overflow_is_data():
 
 
 def _solve_one(
-    solver_id: str, w: Matrix, y, opts: SolverOptions, emulate_svd: bool = False
+    solver_id: str, w: Matrix, y, emulate_svd: bool = False
 ) -> tuple[SolverOutcome, CCSolution | None]:
-    """Run one solver by id: the one dispatch behind the bench and the CLI.
+    """Run one solver by id at its library defaults (MCC and MCS at the
+    sweep's default thresholds): the one dispatch behind the bench and the
+    CLI.
 
     Returns the outcome and, for MCC and MCS, the inner banded solution
     (None for the reference solvers).  The SVD solver declines
@@ -236,16 +224,13 @@ def _solve_one(
     propagate to the caller.
     """
     inner = None
-    thresholds = dict(
-        phi_threshold=opts.phi_threshold, growth_threshold=opts.growth_threshold
-    )
     if solver_id in ("MCC", "MCS"):
-        if solver_id == "MCC" and isinstance(w, (TridiagonalMatrix, BidiagonalMatrix)):
-            inner = solve_cc_tridiagonal(w, y, **thresholds)
+        if solver_id == "MCC" and isinstance(w, _BANDED):
+            inner = solve_cc_tridiagonal(w, y)
             x = inner.x_plus
         else:
             route = "general" if solver_id == "MCC" else "symmetric"
-            x, diag = solve_dense(w, y, route=route, **thresholds)
+            x, diag = solve_dense(w, y, route=route)
             inner = diag.inner
         labels = sorted({label for label, _ in inner.events})
         outcome = SolverOutcome(solver_id, x, ",".join(labels))
@@ -285,7 +270,6 @@ def _run_cell(
     base: TestSystem,
     solver_id: str,
     info: _SystemInfo,
-    opts: SolverOptions,
     emulate_svd: bool,
     timing: bool,
     target_dx: float | None,
@@ -293,9 +277,7 @@ def _run_cell(
     t0 = time.perf_counter()
     with _overflow_is_data():
         try:
-            outcome, _ = _solve_one(
-                solver_id, solved.matrix, solved.y, opts, emulate_svd
-            )
+            outcome, _ = _solve_one(solver_id, solved.matrix, solved.y, emulate_svd)
         except (FloatingPointError, ValueError) as exc:
             outcome = SolverOutcome(solver_id, None, f"error: {exc}")
         wall = time.perf_counter() - t0 if timing else 0.0
@@ -348,10 +330,10 @@ def run_suite(
     seed: int = 7,
     *,
     timing: bool = False,
-    opts: SolverOptions | None = None,
 ) -> list[BenchRecord]:
-    """Execute every cell of a profile with the given solvers and return the
-    records sorted by (system, order, solver).
+    """Execute every cell of a profile with the given solvers, each at its
+    library defaults, and return the records sorted by (system, order,
+    solver).
 
     Perturbation cells draw one seeded perturbation per repetition (shared by
     all solvers of that repetition) and measure the recovered solution
@@ -365,10 +347,8 @@ def run_suite(
     for sid in solver_list:
         if sid not in SOLVER_IDS:
             raise ValueError(f"unknown solver id {sid!r}")
-    if opts is None:
-        opts = SolverOptions()
     records = [
-        _run_cell(solved, base, sid, info, opts, prof.emulate_svd, timing, target_dx)
+        _run_cell(solved, base, sid, info, prof.emulate_svd, timing, target_dx)
         for solved, base, info, target_dx in _cases(prof, seed)
         for sid in solver_list
         if sid != "MCS" or mcs_applicable(solved.matrix)

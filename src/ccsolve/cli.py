@@ -23,7 +23,6 @@ import numpy as np
 from .bench import (
     PROFILES,
     SOLVER_IDS,
-    SolverOptions,
     _overflow_is_data,
     _solve_one,
     aggregate,
@@ -55,22 +54,6 @@ _DENSE_ROUTES = {
 }
 
 
-def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    """The two knobs of the banded sweep."""
-    parser.add_argument(
-        "--phi-threshold",
-        type=float,
-        default=None,
-        help="separation-probe tolerance (default 2*sqrt(eps1))",
-    )
-    parser.add_argument(
-        "--growth-threshold",
-        type=float,
-        default=None,
-        help="critical-component growth cutoff (default 1/eps1)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccsolve",
@@ -88,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solver", choices=_SOLVER_CHOICES, default="mcc", help="solver to run"
     )
     p_solve.add_argument("--out", help="write the solution vector here")
-    _add_threshold_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a benchmark profile")
@@ -109,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--timing", action="store_true", help="record wall-clock times"
     )
-    _add_threshold_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate a test system")
@@ -125,14 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_pinv.add_argument("--matrix", required=True, help="matrix file (banded)")
     p_pinv.add_argument("--out", help="write the dense pseudo-inverse here")
-    _add_threshold_flags(p_pinv)
     p_pinv.set_defaults(func=_cmd_pinv)
 
     return parser
-
-
-def _opts_from(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(args.phi_threshold, args.growth_threshold)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -149,7 +125,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("error: solver mcs requires a dense symmetric matrix", file=sys.stderr)
         return 2
     with _overflow_is_data():
-        outcome, inner = _solve_one(solver_id, w, y, _opts_from(args))
+        outcome, inner = _solve_one(solver_id, w, y)
     if outcome.failed:
         print(f"{solver_id} failed: {outcome.note}", file=sys.stderr)
         return 3
@@ -184,11 +160,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     solvers = [s.upper() for s in args.solver] if args.solver else None
     records = run_suite(
-        args.profile,
-        solvers=solvers,
-        seed=args.seed,
-        timing=args.timing,
-        opts=_opts_from(args),
+        args.profile, solvers=solvers, seed=args.seed, timing=args.timing
     )
     report = emit_report(aggregate(records), format=args.format)
     if args.out:
@@ -216,9 +188,7 @@ def _cmd_pinv(args: argparse.Namespace) -> int:
     if isinstance(w, DenseMatrix):
         print("error: pinv expects a banded (tridiagonal or bidiagonal) matrix", file=sys.stderr)
         return 2
-    pinv = pseudo_inverse_tridiagonal(
-        w, phi_threshold=args.phi_threshold, growth_threshold=args.growth_threshold
-    )
+    pinv = pseudo_inverse_tridiagonal(w)
     if args.out:
         write_matrix(args.out, pinv)
         print(f"pseudo-inverse -> {args.out}")

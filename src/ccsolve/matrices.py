@@ -158,11 +158,12 @@ def _band_sums(w: TridiagonalMatrix | BidiagonalMatrix):
     sums = abs_q.copy()
     abs_p = abs_r = None
     if w.m > 1:
-        if isinstance(w, TridiagonalMatrix):
-            abs_p = np.abs(w.p)
-            sums[1:] += abs_p
-        abs_r = np.abs(w.r)
-        sums[:-1] += abs_r
+        with np.errstate(over="ignore"):  # an overflowing row sum is inf
+            if isinstance(w, TridiagonalMatrix):
+                abs_p = np.abs(w.p)
+                sums[1:] += abs_p
+            abs_r = np.abs(w.r)
+            sums[:-1] += abs_r
     return sums, abs_q, abs_p, abs_r
 
 
@@ -178,7 +179,8 @@ def norm_inf(w: Matrix) -> float:
     """Maximum absolute row sum; O(m) from the bands of a band container."""
     if isinstance(w, _BANDED):
         return float(np.max(_band_sums(w)[0]))
-    return float(np.max(np.sum(np.abs(_require(w, DenseMatrix).a), axis=1)))
+    with np.errstate(over="ignore"):  # an overflowing row sum is inf
+        return float(np.max(np.sum(np.abs(_require(w, DenseMatrix).a), axis=1)))
 
 
 def frobenius_norm(w: Matrix) -> float:

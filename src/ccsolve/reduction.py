@@ -302,12 +302,7 @@ class DenseSolveDiagnostics:
 
 
 def solve_dense(
-    a: DenseMatrix,
-    f,
-    *,
-    route: str | None = None,
-    phi_threshold: float | None = None,
-    growth_threshold: float | None = None,
+    a: DenseMatrix, f, *, route: str | None = None
 ) -> tuple[np.ndarray, DenseSolveDiagnostics]:
     """Solve a dense system by orthogonal reduction to banded form.
 
@@ -323,11 +318,6 @@ def solve_dense(
         reduction = reduce_general(a, f)
     else:
         raise ValueError(f"unknown route {route!r}")
-    inner = solve_cc_tridiagonal(
-        reduction.matrix,
-        reduction.rhs,
-        phi_threshold=phi_threshold,
-        growth_threshold=growth_threshold,
-    )
+    inner = solve_cc_tridiagonal(reduction.matrix, reduction.rhs)
     z = _apply_reflectors(reduction.q_reflectors, inner.x_plus, reverse=True)
     return z, DenseSolveDiagnostics(route=route, reduction=reduction, inner=inner)

@@ -285,6 +285,13 @@ def test_condition_number_inf_overflowing_inverse_is_infinite():
     s = 1.67e-308
     a = np.array([[1.0, 1.0, 0.0], [0.0, s, s], [0.0, 0.0, s]])
     assert condition_number_inf(DenseMatrix(a)) == np.inf
+    # a row sum of W itself overflows, banded or dense: the same
+    big = 1e308
+    for w in (TridiagonalMatrix(q=[big] * 3, p=[big] * 2, r=[big] * 2),
+              DenseMatrix(big * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0],
+                                          [1.0, 1.0, -1.0]]))):
+        assert norm_inf(w) == np.inf
+        assert condition_number_inf(w) == np.inf
 
 
 @pytest.mark.filterwarnings("error")
