@@ -10,6 +10,7 @@ the main diagonal holds q_1..q_m, the sub-diagonal p_2..p_m with p_i at
 row i column i-1, and the super-diagonal r_2..r_m with r_i at row i-1
 column i.  Row i of a tridiagonal product is therefore
 p_i*x_{i-1} + q_i*x_i + r_{i+1}*x_{i+1} with out-of-range terms zero.
+An upper bidiagonal is the tridiagonal with p = 0: its ``p`` reads as zeros.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class TridiagonalMatrix:
 @dataclass
 class BidiagonalMatrix:
     """Square upper-bidiagonal matrix stored by bands q (diagonal) and
-    r (super-diagonal, length m-1)."""
+    r (super-diagonal, length m-1); its read-only sub-diagonal p is zero."""
 
     q: np.ndarray
     r: np.ndarray
@@ -88,6 +89,10 @@ class BidiagonalMatrix:
     @property
     def m(self) -> int:
         return self.q.size
+
+    @property
+    def p(self) -> np.ndarray:
+        return np.zeros(self.q.size - 1)
 
 
 @dataclass
@@ -129,10 +134,8 @@ def matvec(w: Matrix, x) -> np.ndarray:
         return w.a @ _as_float_vector(x, "x", w.m)
     x = _as_float_vector(x, "x", _require(w, _BANDED).m)
     y = w.q * x
-    if w.m > 1:
-        if isinstance(w, TridiagonalMatrix):
-            y[1:] += w.p * x[:-1]
-        y[:-1] += w.r * x[1:]
+    y[1:] += w.p * x[:-1]
+    y[:-1] += w.r * x[1:]
     return y
 
 
@@ -144,35 +147,27 @@ def dense_array(w: Matrix) -> np.ndarray:
     m = _require(w, _BANDED).m
     a = np.zeros((m, m))
     np.fill_diagonal(a, w.q)
-    if m > 1:
-        a[np.arange(m - 1), np.arange(1, m)] = w.r
-        if isinstance(w, TridiagonalMatrix):
-            a[np.arange(1, m), np.arange(m - 1)] = w.p
+    i = np.arange(m - 1)
+    a[i, i + 1] = w.r
+    a[i + 1, i] = w.p
     return a
 
 
 def _band_sums(w: TridiagonalMatrix | BidiagonalMatrix):
     """(row sums, |q|, |p|, |r|) of a band container's absolute entries, from
-    one walk over its bands; an absent band is None."""
-    abs_q = np.abs(w.q)
+    one walk over its bands."""
+    abs_q, abs_p, abs_r = np.abs(w.q), np.abs(w.p), np.abs(w.r)
     sums = abs_q.copy()
-    abs_p = abs_r = None
-    if w.m > 1:
-        with np.errstate(over="ignore"):  # an overflowing row sum is inf
-            if isinstance(w, TridiagonalMatrix):
-                abs_p = np.abs(w.p)
-                sums[1:] += abs_p
-            abs_r = np.abs(w.r)
-            sums[:-1] += abs_r
+    with np.errstate(over="ignore"):  # an overflowing row sum is inf
+        sums[1:] += abs_p
+        sums[:-1] += abs_r
     return sums, abs_q, abs_p, abs_r
 
 
 def band_maxima(w: TridiagonalMatrix | BidiagonalMatrix):
     """(norm_inf(w), max|q|, max|p|, max|r|) of a band container, for a
-    solve that needs all four; an absent band has maximum 0."""
-    sums, *bands = _band_sums(w)
-    maxima = (0.0 if a is None else float(np.max(a)) for a in bands)
-    return (float(np.max(sums)), *maxima)
+    solve that needs all four; an empty band (order 1) has maximum 0."""
+    return tuple(float(a.max(initial=0.0)) for a in _band_sums(w))
 
 
 def norm_inf(w: Matrix) -> float:
@@ -187,8 +182,7 @@ def frobenius_norm(w: Matrix) -> float:
     """Euclidean (Frobenius) norm of the entries; O(m) from the bands of a
     band container."""
     if isinstance(w, _BANDED):
-        bands = [w.q, w.r] + ([w.p] if isinstance(w, TridiagonalMatrix) else [])
-        return float(np.linalg.norm(np.concatenate(bands)))
+        return float(np.linalg.norm(np.concatenate([w.q, w.r, w.p])))
     return float(np.linalg.norm(_require(w, DenseMatrix).a))
 
 
@@ -234,10 +228,7 @@ def _band_inverse_rows(w, scale: float) -> list[float]:
     # 0-based: p[i] at (i, i-1) and r[i] at (i-1, i) for 0 < i < m; the zero
     # padding at 0 and m starts both recurrences at the matrix edges
     r = [0.0, *(w.r / scale).tolist(), 0.0]
-    if isinstance(w, TridiagonalMatrix):
-        p = [0.0, *(w.p / scale).tolist(), 0.0]
-    else:
-        p = [0.0] * (m + 1)
+    p = [0.0, *(w.p / scale).tolist(), 0.0]
     e = [0.0] * m
     u = [0.0] * m
     piv, up = 1.0, 0.0

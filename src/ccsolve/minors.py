@@ -33,8 +33,7 @@ def padded_bands(w: TridiagonalMatrix | BidiagonalMatrix):
     qq = np.full(m + 2, np.nan)
     qq[1 : m + 1] = w.q
     pp = np.zeros(m + 2)
-    if isinstance(w, TridiagonalMatrix):
-        pp[2 : m + 1] = w.p
+    pp[2 : m + 1] = w.p
     rr = np.zeros(m + 2)
     rr[2 : m + 1] = w.r
     return m, qq, pp, rr

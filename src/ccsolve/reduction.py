@@ -116,16 +116,24 @@ def is_symmetric(a: DenseMatrix) -> bool:
 
 def _reflector(x: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Unit Householder vector v and alpha with (I - 2 v v^T) x = alpha e_1,
-    or None when x[1:] is already exactly zero (no reflection applied)."""
+    or None when x[1:] is already exactly zero (no reflection applied).  When
+    the squares of x under- or overflow (callers ignore the overflow), it
+    works on x * 2^k with max|x * 2^k| in [1, 2), which is exact."""
     tail = float(x[1:] @ x[1:])
+    x0, scale = float(x[0]), 1.0
+    norm2 = x0 * x0 + tail
+    if not 2.0**-600 <= norm2 <= 2.0**600 and x[1:].any():
+        k = 1 - math.frexp(float(np.max(np.abs(x))))[1]
+        x, scale = np.ldexp(x, k), 2.0**-k
+        tail, x0 = float(x[1:] @ x[1:]), float(x[0])
+        norm2 = x0 * x0 + tail
     if tail == 0.0:
         return None
-    x0 = float(x[0])
-    alpha = -math.copysign(math.sqrt(x0 * x0 + tail), x0)
+    alpha = -math.copysign(math.sqrt(norm2), x0)
     v = np.array(x, dtype=float)
     v[0] = x0 - alpha
     v /= math.sqrt(v[0] * v[0] + tail)
-    return v, alpha
+    return v, alpha * scale
 
 
 # Largest number of reflectors in a panel.  Widths 8 to 48 reduce within 10%
@@ -242,6 +250,7 @@ def _reduction_budget(m, norm_a, norm_f, route) -> ErrorBudget:
     return ErrorBudget(h=h, delta=delta)
 
 
+@np.errstate(over="ignore")  # see _reflector; a norm that overflows is inf
 def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
     """Householder similarity reduction of a symmetric matrix to tridiagonal
     form; raises ValueError on a matrix that is not symmetric within
@@ -266,6 +275,7 @@ def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
     )
 
 
+@np.errstate(over="ignore")  # see _reflector; a norm that overflows is inf
 def reduce_general(a: DenseMatrix, f) -> ReductionResult:
     """Two-sided Householder reduction of a square matrix to upper-bidiagonal
     form C2 = P A Q with rhs P f."""

@@ -1,5 +1,5 @@
 """Textbook comparison solvers on any matrix container: Gaussian elimination
-with partial pivoting (band-exploiting for the banded matrix types), and on
+with partial pivoting (one banded elimination for both band types), and on
 the entries :func:`matrices.dense_array` reads, Householder QR, truncated-SVD
 pseudo-solution, and Tikhonov regularization with a discrepancy-principle
 choice of the regularization parameter.
@@ -19,9 +19,8 @@ import numpy as np
 from .matrices import (
     EPS0,
     EPS1,
-    BidiagonalMatrix,
+    DenseMatrix,
     Matrix,
-    TridiagonalMatrix,
     _as_float_vector,
     _require,
     dense_array,
@@ -68,17 +67,16 @@ def _gauss_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _gauss_tridiagonal(c3: TridiagonalMatrix, y: np.ndarray) -> np.ndarray | None:
-    # Banded LU with adjacent-row partial pivoting; pivoting introduces at
-    # most one extra (second) superdiagonal of fill.
-    m = c3.m
-    d = c3.q.copy()
-    e1 = np.zeros(m)
-    e1[: m - 1] = c3.r
-    e2 = np.zeros(m)
-    sub = np.zeros(m)
-    sub[1:] = c3.p
-    b = y.copy()
+def _gauss_band(w, y: np.ndarray) -> np.ndarray | None:
+    # Banded LU with adjacent-row partial pivoting on Python floats; pivoting
+    # introduces at most one extra (second) superdiagonal of fill.  With
+    # p = 0 (a bidiagonal) it never swaps or eliminates: back substitution.
+    m = w.m
+    d = w.q.tolist()
+    e1 = [*w.r.tolist(), 0.0]
+    e2 = [0.0] * m
+    sub = [0.0, *w.p.tolist()]
+    b = y.tolist()
     for k in range(m - 1):
         if abs(sub[k + 1]) > abs(d[k]):
             d[k], sub[k + 1] = sub[k + 1], d[k]
@@ -92,44 +90,22 @@ def _gauss_tridiagonal(c3: TridiagonalMatrix, y: np.ndarray) -> np.ndarray | Non
             d[k + 1] -= factor * e1[k]
             e1[k + 1] -= factor * e2[k]
             b[k + 1] -= factor * b[k]
-            sub[k + 1] = 0.0
     if d[m - 1] == 0.0:
         return None
-    x = np.zeros(m)
+    b += [0.0, 0.0]  # x_(m+1) = x_(m+2) = 0
     for i in range(m - 1, -1, -1):
-        acc = b[i]
-        if i + 1 < m:
-            acc -= e1[i] * x[i + 1]
-        if i + 2 < m:
-            acc -= e2[i] * x[i + 2]
-        x[i] = acc / d[i]
-    return x
-
-
-def _gauss_bidiagonal(c2: BidiagonalMatrix, y: np.ndarray) -> np.ndarray | None:
-    m = c2.m
-    if np.any(c2.q == 0.0):
-        return None
-    x = np.zeros(m)
-    x[m - 1] = y[m - 1] / c2.q[m - 1]
-    for i in range(m - 2, -1, -1):
-        x[i] = (y[i] - c2.r[i] * x[i + 1]) / c2.q[i]
-    return x
+        b[i] = (b[i] - e1[i] * b[i + 1] - e2[i] * b[i + 2]) / d[i]
+    return np.array(b[:m])
 
 
 def solve_gauss(w: Matrix, y) -> SolverOutcome:
-    """LU with partial pivoting; banded variants for the banded types.
+    """LU with partial pivoting; the banded one for the band containers.
 
     Returns a solution even when the system is badly conditioned; fails only
     when elimination meets an exactly zero pivot with no admissible swap.
     """
     y = _as_float_vector(y, "y", _require(w, Matrix).m)
-    if isinstance(w, TridiagonalMatrix):
-        x = _gauss_tridiagonal(w, y)
-    elif isinstance(w, BidiagonalMatrix):
-        x = _gauss_bidiagonal(w, y)
-    else:
-        x = _gauss_dense(dense_array(w), y)
+    x = _gauss_dense(w.a, y) if isinstance(w, DenseMatrix) else _gauss_band(w, y)
     note = "" if x is not None else "exactly singular pivot"
     return SolverOutcome(solver_id="GS", x=x, note=note)
 
@@ -141,15 +117,16 @@ def solve_qr(w: Matrix, y) -> SolverOutcome:
     m = w.m
     y = _as_float_vector(y, "y", m)
     reflectors = []
-    for k in range(m - 1):
-        step = _reflector(r_mat[k:, k])
-        if step is None:
-            continue
-        v, alpha = step
-        r_mat[k, k] = alpha
-        block = r_mat[k:, k + 1 :]
-        block -= np.outer(v, 2.0 * (v @ block))
-        reflectors.append((k, v))
+    with np.errstate(over="ignore"):  # see reduction._reflector
+        for k in range(m - 1):
+            step = _reflector(r_mat[k:, k])
+            if step is None:
+                continue
+            v, alpha = step
+            r_mat[k, k] = alpha
+            block = r_mat[k:, k + 1 :]
+            block -= np.outer(v, 2.0 * (v @ block))
+            reflectors.append((k, v))
     qty = _apply_reflectors(reflectors, y)
     diag = np.diag(r_mat)
     if np.any(diag == 0.0):

@@ -279,7 +279,7 @@ class _Bands:
         self.matrix, self.m = c3, m
         self.norm, *maxima = band_maxima(c3)  # max|q|, max|p|, max|r|
         self.scale = max(1.0, *maxima)
-        self.tau = max(maxima[1:]) if m > 1 else 0.0
+        self.tau = max(maxima[1:])
         self.qq, self.pp, self.rr, self.prod = qq, pp, rr, band_products(pp, rr)
         self.lam = lambda_values(qq, self.prod)
         self.beta, first = beta_sequence(self.lam, pp, rr, self.scale)

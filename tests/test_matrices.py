@@ -133,8 +133,11 @@ def test_norms_match_numpy():
 
 def test_band_norms_match_dense_formula():
     # The band formulas for both band containers, and the dense path, agree
-    # with the dense row-sum and Frobenius formulas, down to order 1.
+    # with the dense row-sum and Frobenius formulas, down to order 1; so do
+    # the band product and the banded elimination with their dense
+    # counterparts, and a bidiagonal's p reads as m - 1 zeros.
     rng = np.random.default_rng(107)
+    rng_x = np.random.default_rng(108)
     for m in (1, 2, 3, 7, 40):
         q = rng.standard_normal(m)
         p, r = rng.standard_normal((2, m - 1))
@@ -143,6 +146,18 @@ def test_band_norms_match_dense_formula():
             a = dense_array(w)
             assert_allclose(norm_inf(w), np.max(np.sum(np.abs(a), axis=1)), rtol=1e-15)
             assert_allclose(frobenius_norm(w), np.sqrt(np.sum(a * a)), rtol=1e-15)
+            if isinstance(w, DenseMatrix):
+                continue
+            x, y = rng_x.standard_normal((2, m))
+            assert_allclose(matvec(w, x), a @ x, rtol=0,
+                            atol=4 * EPS1 * norm_inf(w) * np.max(np.abs(x)))
+            ref = np.linalg.solve(a, y)
+            assert_allclose(solve_gauss(w, y).x, ref, rtol=0,
+                            atol=m * EPS1 * condition_number_inf(w) * np.max(np.abs(ref)))
+        bi = BidiagonalMatrix(q=q, r=r)
+        assert_array_equal(bi.p, np.zeros(m - 1))
+        with pytest.raises(AttributeError):
+            bi.p = p
 
 
 BAND = TridiagonalMatrix(q=np.ones(3), p=np.ones(2), r=np.ones(2))

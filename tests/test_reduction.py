@@ -27,6 +27,7 @@ from ccsolve.reduction import (
     solve_dense,
 )
 from ccsolve.reduction import ErrorBudget
+from ccsolve.reference import solve_qr
 from ccsolve.systems import classify, generate_system
 from explicit_reduction import explicit_reduce_general, explicit_reduce_symmetric
 
@@ -222,6 +223,25 @@ def test_solve_dense_route_override():
     assert np.linalg.norm(z - x) / np.linalg.norm(x) <= 1e-10
     with pytest.raises(ValueError):
         solve_dense(a, y, route="sideways")
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 2.0**-565, 2.0**530])
+def test_reflectors_scale_extreme_entries(c):
+    # Squaring entries of c*A underflows or overflows; the reflectors work on
+    # an exact power-of-two rescaling, so the general route and QR solve the
+    # well-conditioned c*A as well as A.
+    rng = np.random.default_rng(612)
+    b = rng.standard_normal((40, 40))
+    b += np.diag(np.sum(np.abs(b), axis=1))
+    cases = [(np.array([[4.0, -1.0, 1.0], [-1.0, 4.0, 1.0], [1.0, 1.0, 2.0]]),
+              np.array([1.0, 2.0, 3.0])),
+             (b, rng.standard_normal(40))]
+    for arr, x in cases:
+        a = DenseMatrix(c * arr)
+        f = a.a @ x
+        z, _ = solve_dense(a, f, route="general")
+        for sol in (z, solve_qr(a, f).x):
+            assert np.max(np.abs(sol - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 def test_reduction_input_checks():

@@ -1,6 +1,8 @@
 """Tests for the reference solvers: elimination, QR, truncated SVD, and
 discrepancy-principle regularization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -67,6 +69,18 @@ def test_gauss_bidiagonal_back_substitution():
     y = matvec(w, x)
     out = solve_gauss(w, y)
     assert_allclose(out.x, x, rtol=0, atol=1e-12)
+
+
+def test_gauss_overflow_reads_non_finite_without_warning():
+    # System 2 at m = 200 overflows in the back substitution; the banded
+    # elimination runs on Python floats, so x comes back non-finite and no
+    # numpy RuntimeWarning is raised.
+    s = generate_system(2, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve_gauss(s.matrix, s.y)
+    assert not out.failed
+    assert not np.all(np.isfinite(out.x))
 
 
 def test_gauss_hilbert_matches_numpy():
