@@ -32,10 +32,12 @@ from .matrices import (
 from .reduction import is_symmetric, solve_dense
 from .reference import (
     SolverOutcome,
+    _SVDFactors,
+    _lazy_svd,
+    _svd_truncated,
+    _tikhonov,
     solve_gauss,
     solve_qr,
-    solve_svd_truncated,
-    solve_tikhonov,
 )
 from .systems import TestSystem, classify, generate_system, perturb_solution
 from .textio import format_number
@@ -209,7 +211,11 @@ def _overflow_is_data():
 
 
 def _solve_one(
-    solver_id: str, w: Matrix, y, emulate_svd: bool = False
+    solver_id: str,
+    w: Matrix,
+    y,
+    emulate_svd: bool = False,
+    svd: _SVDFactors | None = None,
 ) -> tuple[SolverOutcome, CCSolution | None]:
     """Run one solver by id at its library defaults (MCC and MCS at the
     sweep's default thresholds): the one dispatch behind the bench and the
@@ -218,10 +224,11 @@ def _solve_one(
     Returns the outcome and, for MCC and MCS, the inner banded solution
     (None for the reference solvers).  The SVD solver declines
     pathologically conditioned systems when emulate_svd is set (a profile's
-    switch).  A numeric failure is a failed outcome: a non-finite x gets the
-    note "error: non-finite solution", TRM's LinAlgError on a singular
-    A^T A the note "error: <message>".  Other exceptions from the solvers
-    propagate to the caller.
+    switch).  svd, when given, is a zero-argument callable returning the
+    full SVD (u, s, vt) of w, which the SVD and TRM solvers read instead of
+    computing their own; run_suite passes one per case.  A non-finite x is a
+    failed outcome with the note "error: non-finite solution".  Exceptions
+    from the solvers propagate to the caller.
     """
     inner = None
     if solver_id in ("MCC", "MCS"):
@@ -239,12 +246,9 @@ def _solve_one(
     elif solver_id == "QR":
         outcome = solve_qr(w, y)
     elif solver_id == "SVD":
-        outcome = solve_svd_truncated(w, y, emulate_failure=emulate_svd)
+        outcome = _svd_truncated(w, y, svd or _lazy_svd(w), emulate_failure=emulate_svd)
     elif solver_id == "TRM":
-        try:
-            outcome = solve_tikhonov(w, y)
-        except np.linalg.LinAlgError as exc:  # A^T A + alpha E exactly singular
-            outcome = SolverOutcome(solver_id, None, f"error: {exc}")
+        outcome = _tikhonov(w, y, svd or _lazy_svd(w))
     else:
         raise ValueError(f"unknown solver id {solver_id!r}")
     if not outcome.failed and not np.all(np.isfinite(outcome.x)):
@@ -273,11 +277,12 @@ def _run_cell(
     emulate_svd: bool,
     timing: bool,
     target_dx: float | None,
+    svd: _SVDFactors,
 ) -> BenchRecord:
     t0 = time.perf_counter()
     with _overflow_is_data():
         try:
-            outcome, _ = _solve_one(solver_id, solved.matrix, solved.y, emulate_svd)
+            outcome, _ = _solve_one(solver_id, solved.matrix, solved.y, emulate_svd, svd)
         except (FloatingPointError, ValueError) as exc:
             outcome = SolverOutcome(solver_id, None, f"error: {exc}")
         wall = time.perf_counter() - t0 if timing else 0.0
@@ -324,6 +329,26 @@ def _cases(prof: Profile, seed: int):
             yield perturbed, base, info, level
 
 
+def _run_case(
+    solved: TestSystem,
+    base: TestSystem,
+    info: _SystemInfo,
+    target_dx: float | None,
+    solver_list,
+    emulate_svd: bool,
+    timing: bool,
+) -> list[BenchRecord]:
+    """The records of one case.  Its SVD and TRM cells share one full SVD of
+    the solved matrix, computed for the first of them and dropped on
+    return."""
+    svd = _lazy_svd(solved.matrix)
+    return [
+        _run_cell(solved, base, sid, info, emulate_svd, timing, target_dx, svd)
+        for sid in solver_list
+        if sid != "MCS" or mcs_applicable(solved.matrix)
+    ]
+
+
 def run_suite(
     profile: str | Profile,
     solvers=None,
@@ -348,10 +373,9 @@ def run_suite(
         if sid not in SOLVER_IDS:
             raise ValueError(f"unknown solver id {sid!r}")
     records = [
-        _run_cell(solved, base, sid, info, prof.emulate_svd, timing, target_dx)
-        for solved, base, info, target_dx in _cases(prof, seed)
-        for sid in solver_list
-        if sid != "MCS" or mcs_applicable(solved.matrix)
+        rec
+        for case in _cases(prof, seed)
+        for rec in _run_case(*case, solver_list, prof.emulate_svd, timing)
     ]
     records.sort(key=lambda r: (r.system_id, r.m, r.solver_id))
     return records

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage or input error, 3 numeric solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -54,7 +55,10 @@ _DENSE_ROUTES = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main call
+    of the process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ccsolve",
         description=(
@@ -198,8 +202,7 @@ def _cmd_pinv(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError, ValueError) as exc:

@@ -4,6 +4,12 @@ the entries :func:`matrices.dense_array` reads, Householder QR, truncated-SVD
 pseudo-solution, and Tikhonov regularization with a discrepancy-principle
 choice of the regularization parameter.
 
+The truncated-SVD and Tikhonov solvers read one full SVD A = U diag(s) V^T:
+Tikhonov runs in filter-factor form on it (Hansen, Rank-Deficient and
+Discrete Ill-Posed Problems, 1998), so each regularization parameter it
+tries costs O(m) and it never forms A^T A.  Each public solver computes its
+own SVD; the benchmark computes one per case and hands it to both.
+
 These are deliberately plain implementations; they return a solution whenever
 the arithmetic goes through and report failure only on exact singularity
 (zero pivot / zero R diagonal), or — for the SVD solver in emulation mode —
@@ -12,6 +18,9 @@ on pathological conditioning.
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +146,17 @@ def solve_qr(w: Matrix, y) -> SolverOutcome:
     return SolverOutcome(solver_id="QR", x=x)
 
 
+# (u, s, vt) of np.linalg.svd on a matrix's entries, on demand
+_SVDFactors = Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _lazy_svd(w: Matrix) -> _SVDFactors:
+    """Zero-argument callable returning the full SVD (u, s, vt) of w's
+    entries, computed on the first call and kept by the callable: the one
+    factorization the SVD and Tikhonov solvers read."""
+    return functools.cache(lambda: np.linalg.svd(dense_array(w)))
+
+
 def solve_svd_truncated(
     w: Matrix,
     y,
@@ -152,14 +172,20 @@ def solve_svd_truncated(
     pathologically conditioned systems (sigma_min < eps1 * sigma_max) with a
     failure marker, mimicking library routines that stop on rank deficiency.
     """
-    arr = dense_array(w)
-    m = w.m
+    return _svd_truncated(w, y, _lazy_svd(w), rel_tol, emulate_failure)
+
+
+def _svd_truncated(
+    w: Matrix, y, svd: _SVDFactors, rel_tol=None, emulate_failure=False
+) -> SolverOutcome:
+    """solve_svd_truncated on the SVD that svd() returns."""
+    m = _require(w, Matrix).m
     y = _as_float_vector(y, "y", m)
     if rel_tol is None:
         rel_tol = m * EPS1
     elif np.isnan(rel_tol):
         raise ValueError("rel_tol must not be NaN")
-    u, s, vt = np.linalg.svd(arr)
+    u, s, vt = svd()
     smax = float(s[0])
     if emulate_failure and (smax == 0.0 or float(s[-1]) < EPS1 * smax):
         return SolverOutcome(
@@ -180,78 +206,89 @@ def solve_tikhonov(
     delta_star: float | None = None,
 ) -> SolverOutcome:
     """Tikhonov-regularized solution with alpha chosen by the discrepancy
-    principle.
+    principle, in filter-factor form on the full SVD A = U diag(s) V^T.
 
-    Solves (A^T A + alpha E) z = A^T y over a geometric alpha grid, then
-    bisects on the monotone discrepancy r(alpha) = ||A z - y|| until
-    |r(alpha) - delta_star| <= 1e-3 * max(delta_star, eps1 * ||y||).  When
-    delta_star is None it defaults to eps1 * (||A||_E ||z0|| + ||y||) with z0
-    the smallest-alpha iterate, and a negative or NaN one raises ValueError;
-    when delta_star lies below the minimal attainable residual the
-    smallest-alpha iterate is returned with a note.
+    With c = U^T y, the minimizer of ||A z - y||^2 + alpha ||z||^2 is
+    z(alpha) = V (s / (s^2 + alpha) * c), and its discrepancy is
+    r(alpha) = ||A z - y|| = ||alpha / (s^2 + alpha) * c||, so after the one
+    SVD each alpha costs O(m); no A^T A is formed.  alpha walks a geometric
+    grid up from alpha_min = max(eps1^2 * max(s_1^2, eps0), eps0), which
+    keeps alpha positive so that a zero singular value gets a zero filter
+    factor, until r brackets delta_star, then bisects (geometrically) on the
+    monotone r until |r(alpha) - delta_star| <= 1e-3 * max(delta_star,
+    eps1 * ||y||).  When delta_star is None it defaults to eps1 * (||A||_E
+    ||z0|| + ||y||), with ||A||_E = ||s|| and z0 the smallest-alpha iterate;
+    a negative or NaN one raises ValueError.  When delta_star lies below the
+    minimal attainable residual the smallest-alpha iterate is returned with
+    a note.
     """
-    arr = dense_array(w)
-    m = w.m
+    return _tikhonov(w, y, _lazy_svd(w), delta_star)
+
+
+def _coefficients(s, s2, c, alpha: float) -> np.ndarray:
+    """V^T z(alpha) = s / (s^2 + alpha) * c, for s2 = s * s and c = U^T y;
+    a zero singular value gets a zero filter factor while alpha > 0."""
+    return s / (s2 + alpha) * c
+
+
+def _discrepancy(s2, c, alpha: float) -> float:
+    """||A z(alpha) - y|| = ||alpha / (s^2 + alpha) * c||, as U is square and
+    orthogonal: O(m), with no product by A."""
+    v = alpha / (s2 + alpha) * c
+    return math.sqrt(v @ v)
+
+
+def _tikhonov(w: Matrix, y, svd: _SVDFactors, delta_star=None) -> SolverOutcome:
+    """solve_tikhonov on the SVD that svd() returns."""
+    m = _require(w, Matrix).m
     y = _as_float_vector(y, "y", m)
     if delta_star is not None and not delta_star >= 0.0:
         raise ValueError("delta_star must be nonnegative and not NaN")
-    ata = arr.T @ arr
-    aty = arr.T @ y
-    eye = np.eye(m)
-    scale = max(float(np.max(np.abs(ata))), EPS0)
+    u, s, vt = svd()
+    c = u.T @ y
+    s2 = s * s
+    scale = max(float(s2[0]), EPS0)
 
-    def solve_at(alpha: float) -> tuple[np.ndarray, float]:
-        z = np.linalg.solve(ata + alpha * eye, aty)
-        return z, float(np.linalg.norm(arr @ z - y))
-
-    alpha_min = EPS1**2 * scale
-    z0, r0 = solve_at(alpha_min)
-    if delta_star is None:
-        # ||A||_E of arr itself; frobenius_norm's band sum can differ in a bit
-        delta_star = EPS1 * (
-            float(np.linalg.norm(arr)) * float(np.linalg.norm(z0))
-            + float(np.linalg.norm(y))
+    def outcome(alpha: float, note: str) -> SolverOutcome:
+        return SolverOutcome(
+            solver_id="TRM", x=vt.T @ _coefficients(s, s2, c, alpha), note=note
         )
+
+    alpha_min = max(EPS1**2 * scale, EPS0)
+    r0 = _discrepancy(s2, c, alpha_min)
+    if delta_star is None:
+        z0_norm = float(np.linalg.norm(_coefficients(s, s2, c, alpha_min)))
+        delta_star = EPS1 * (float(np.linalg.norm(s)) * z0_norm + float(np.linalg.norm(y)))
     tol = 1e-3 * max(delta_star, EPS1 * float(np.linalg.norm(y)))
     if r0 > delta_star:
-        return SolverOutcome(
-            solver_id="TRM",
-            x=z0,
-            note="delta_star below minimal attainable residual; smallest-alpha iterate",
+        return outcome(
+            alpha_min, "delta_star below minimal attainable residual; smallest-alpha iterate"
         )
     # Walk the geometric grid until the discrepancy brackets delta_star.
     lo = hi = alpha_min
     r_hi = r0
     while r_hi < delta_star:
         hi *= 10.0
-        z_hi, r_hi = solve_at(hi)
+        r_hi = _discrepancy(s2, c, hi)
         if hi > 1e30 * scale:
-            return SolverOutcome(
-                solver_id="TRM",
-                x=z_hi,
-                note="delta_star above attainable residual range; largest-alpha iterate",
+            return outcome(
+                hi, "delta_star above attainable residual range; largest-alpha iterate"
             )
         if r_hi < delta_star:
             lo = hi
-    best_z, best_gap = (z0, abs(r0 - delta_star))
+    best_alpha, best_gap = alpha_min, abs(r0 - delta_star)
     for _ in range(200):
-        mid = float(np.sqrt(lo * hi))
-        z_mid, r_mid = solve_at(mid)
+        mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi may underflow
+        r_mid = _discrepancy(s2, c, mid)
         gap = abs(r_mid - delta_star)
         if gap < best_gap:
-            best_z, best_gap = z_mid, gap
+            best_alpha, best_gap = mid, gap
         if gap <= tol:
-            return SolverOutcome(
-                solver_id="TRM", x=z_mid, note=f"alpha = {mid:.6g}"
-            )
+            return outcome(mid, f"alpha = {mid:.6g}")
         if r_mid < delta_star:
             lo = mid
         else:
             hi = mid
         if hi - lo <= EPS1 * hi:
             break
-    return SolverOutcome(
-        solver_id="TRM",
-        x=best_z,
-        note="discrepancy bisection reached resolution limit",
-    )
+    return outcome(best_alpha, "discrepancy bisection reached resolution limit")

@@ -235,3 +235,26 @@ def test_perturbed_profile_records_target():
     targets = {r.target_dx for r in records}
     assert targets == {0.10, 0.20, 0.30, 0.39, 0.60}
     assert all(r.system_id == 17 for r in records)
+
+
+@pytest.mark.parametrize("cell", [(6, 20), (17, 8)])
+def test_cell_shares_one_svd_and_solves_no_normal_equations(monkeypatch, cell):
+    # All six solvers on one paper-like cell: the SVD and TRM solvers share
+    # one SVD with vectors, the oracle adds its values-only SVD, and TRM's
+    # filter factors need no linear solve.
+    calls = []
+    svd, solve = np.linalg.svd, np.linalg.solve
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append("values" if kwargs.get("compute_uv") is False else "vectors")
+        return svd(a, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        calls.append("solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    records = run_suite(Profile(name="one-cell", cells=(cell,)), seed=7)
+    assert {r.solver_id for r in records} >= {"SVD", "TRM"}
+    assert sorted(calls) == ["values", "vectors"]

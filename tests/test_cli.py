@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from ccsolve.cli import main
 from ccsolve.matrices import dense_array
+from ccsolve.reference import solve_tikhonov
 from ccsolve.systems import generate_system
 from ccsolve.textio import (
     parse_matrix,
@@ -179,19 +180,42 @@ def test_solve_mcs_rejects_nonsymmetric(tmp_path, capsys):
 
 
 def test_solve_reference_failure_exits_3(tmp_path, capsys):
-    # On system 20 GS meets an exactly singular pivot and TRM an exactly
-    # singular A^T A + alpha E: numeric failures, not input errors.
+    # On system 20 GS meets an exactly singular pivot: a numeric failure, not
+    # an input error.  TRM runs on the SVD, which never factors A^T A, so the
+    # same input succeeds and writes solve_tikhonov's x.
     prefix = tmp_path / "case"
     assert main(["gen", "20", "4", "--out", str(prefix)]) == 0
     capsys.readouterr()
     code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
                              "--rhs", f"{prefix}.rhs", "--solver", "gs")
     assert code == 3
+    out_path = tmp_path / "x.solution"
     code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
-                             "--rhs", f"{prefix}.rhs", "--solver", "trm")
-    assert code == 3
-    assert out == ""
-    assert err == "TRM failed: error: Singular matrix\n"
+                             "--rhs", f"{prefix}.rhs", "--solver", "trm",
+                             "--out", str(out_path))
+    assert code == 0
+    assert err == ""
+    want = solve_tikhonov(read_matrix(f"{prefix}.matrix"), read_vector(f"{prefix}.rhs"))
+    assert read_vector(out_path).tobytes() == want.x.tobytes()
+
+
+def test_successive_calls_share_no_parsed_state(tmp_path, capsys):
+    # The parser is built once per process; a --solver list given to one
+    # call must not reach the next.
+    code, restricted, _ = run_cli(capsys, "bench", "--profile", "smoke",
+                                  "--solver", "mcc")
+    assert code == 0
+    assert "\nGS," not in restricted
+    code, full, _ = run_cli(capsys, "bench", "--profile", "smoke")
+    assert code == 0
+    assert "\nGS," in full and "\nMCC," in full
+    prefix = tmp_path / "case"
+    code, out, _ = run_cli(capsys, "gen", "10", "4", "--out", str(prefix))
+    assert code == 0
+    code, out, err = run_cli(capsys, "solve", "--matrix", f"{prefix}.matrix",
+                             "--rhs", f"{prefix}.rhs")
+    assert code == 0
+    assert "solver: MCC" in err
 
 
 @pytest.mark.parametrize("solver", ["gs", "qr"])

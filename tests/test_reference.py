@@ -15,6 +15,8 @@ from ccsolve.matrices import (
     matvec,
 )
 from ccsolve.reference import (
+    _coefficients,
+    _discrepancy,
     solve_gauss,
     solve_qr,
     solve_svd_truncated,
@@ -250,6 +252,52 @@ def test_tikhonov_below_minimal_residual_note():
     assert "below minimal" in out.note
 
 
+def test_tikhonov_filter_factors_match_normal_equations():
+    # At a fixed alpha the filter-factor z(alpha) = V (s / (s^2 + alpha) * c)
+    # is the normal-equations solution; the normal equations square the
+    # condition number, so they agree to about kappa^2 * m * eps1.
+    rng = np.random.default_rng(706)
+    for _ in range(30):
+        m = int(rng.integers(2, 31))
+        arr = rng.standard_normal((m, m)) + np.eye(m) * 2.0 * np.sqrt(m)
+        y = rng.standard_normal(m)
+        u, s, vt = np.linalg.svd(arr)
+        kappa = s[0] / s[-1]
+        for rel in (1e-12, 1e-6, 1e-2, 1.0):
+            alpha = rel * s[0] ** 2
+            z = vt.T @ _coefficients(s, s * s, u.T @ y, alpha)
+            want = np.linalg.solve(arr.T @ arr + alpha * np.eye(m), arr.T @ y)
+            rel_err = np.linalg.norm(z - want) / np.linalg.norm(want)
+            assert rel_err <= 4.0 * kappa**2 * m * EPS1
+
+
+def test_tikhonov_discrepancy_matches_realized_residual():
+    # ||alpha / (s^2 + alpha) * c|| is ||A z(alpha) - y|| up to the rounding
+    # of forming A z - y, m * eps1 * (||A||_2 ||z|| + ||y||).
+    h = hilbert(8)
+    y = h.a @ np.ones(8)
+    u, s, vt = np.linalg.svd(h.a)
+    c = u.T @ y
+    for alpha in (1e-14, 1e-10, 1e-6, 1e-2, 1.0):
+        z = vt.T @ _coefficients(s, s * s, c, alpha)
+        realized = np.linalg.norm(h.a @ z - y)
+        tol = 8 * EPS1 * (s[0] * np.linalg.norm(z) + np.linalg.norm(y))
+        assert abs(_discrepancy(s * s, c, alpha) - realized) <= tol
+
+
+def test_tikhonov_finite_on_zero_and_singular_matrices():
+    # A zero singular value gets a zero filter factor: the zero matrix gives
+    # x = 0, and system 20 (exactly singular A^T A) a finite x.
+    for delta_star in (None, np.sqrt(3.0), 10.0):  # r(alpha) = ||y|| = sqrt(3)
+        out = solve_tikhonov(DenseMatrix(np.zeros((3, 3))), np.ones(3), delta_star)
+        assert np.array_equal(out.x, np.zeros(3))
+    s = generate_system(20, 4)
+    for delta_star in (None, 0.0, 1e-6):
+        out = solve_tikhonov(s.matrix, s.y, delta_star=delta_star)
+        assert not out.failed
+        assert np.all(np.isfinite(out.x))
+
+
 def test_solver_ids():
     y = np.ones(3)
     eye = DenseMatrix(np.eye(3))
@@ -278,14 +326,10 @@ def test_wrong_length_rhs_and_negative_target_rejected():
 @pytest.mark.parametrize("m", [5, 30])
 def test_band_input_matches_its_dense_container(solve, m):
     # QR, SVD and TRM read a band container through dense_array, so band
-    # input gives the x and note (or the error) of the same entries in a
-    # DenseMatrix.
+    # input gives the x and note of the same entries in a DenseMatrix.
     def run(w, y):
-        try:
-            with np.errstate(all="ignore"):
-                out = solve(w, y)
-        except np.linalg.LinAlgError as exc:  # TRM on an exactly singular W
-            return repr(exc)
+        with np.errstate(all="ignore"):
+            out = solve(w, y)
         return out.note, None if out.failed else out.x.tobytes()
 
     for sid in range(1, 11):
