@@ -15,6 +15,7 @@ An upper bidiagonal is the tridiagonal with p = 0: its ``p`` reads as zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,12 +179,25 @@ def norm_inf(w: Matrix) -> float:
         return float(np.max(np.sum(np.abs(_require(w, DenseMatrix).a), axis=1)))
 
 
+def _norm2(x: np.ndarray) -> float:
+    """Euclidean norm of the finite entries of x: np.linalg.norm's value
+    wherever that is finite; when the squares overflow, the norm of the
+    power-of-two rescaling x * 2^-k (max|x * 2^-k| in [0.5, 1)) scaled back,
+    which is inf only when the norm itself exceeds the float range."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+        if math.isinf(norm):
+            k = math.frexp(float(np.max(np.abs(x))))[1]
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(x, -k)), k))
+    return norm
+
+
 def frobenius_norm(w: Matrix) -> float:
     """Euclidean (Frobenius) norm of the entries; O(m) from the bands of a
     band container."""
     if isinstance(w, _BANDED):
-        return float(np.linalg.norm(np.concatenate([w.q, w.r, w.p])))
-    return float(np.linalg.norm(_require(w, DenseMatrix).a))
+        return _norm2(np.concatenate([w.q, w.r, w.p]))
+    return _norm2(_require(w, DenseMatrix).a)
 
 
 def _singular_extremes(w: Matrix) -> tuple[float, float]:

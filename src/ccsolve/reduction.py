@@ -34,6 +34,7 @@ from .matrices import (
     DenseMatrix,
     TridiagonalMatrix,
     _as_float_vector,
+    _norm2,
     _require,
     frobenius_norm,
     norm_inf,
@@ -264,9 +265,7 @@ def reduce_symmetric(a: DenseMatrix, f) -> ReductionResult:
     c3 = TridiagonalMatrix(
         np.diag(arr).copy(), np.diag(arr, -1).copy(), np.diag(arr, 1).copy()
     )
-    budget = _reduction_budget(
-        m, frobenius_norm(a), float(np.linalg.norm(f)), "tridiagonal"
-    )
+    budget = _reduction_budget(m, frobenius_norm(a), _norm2(f), "tridiagonal")
     return ReductionResult(
         matrix=c3,
         rhs=_apply_reflectors(reflectors, f),
@@ -284,9 +283,7 @@ def reduce_general(a: DenseMatrix, f) -> ReductionResult:
     f = _as_float_vector(f, "f", m)
     left, right = _general_panels(arr)
     c2 = BidiagonalMatrix(np.diag(arr).copy(), np.diag(arr, 1).copy())
-    budget = _reduction_budget(
-        m, frobenius_norm(a), float(np.linalg.norm(f)), "bidiagonal"
-    )
+    budget = _reduction_budget(m, frobenius_norm(a), _norm2(f), "bidiagonal")
     return ReductionResult(
         matrix=c2,
         rhs=_apply_reflectors(left, f),

@@ -1,19 +1,22 @@
 """Textbook comparison solvers on any matrix container: Gaussian elimination
-with partial pivoting (one banded elimination for both band types), and on
-the entries :func:`matrices.dense_array` reads, Householder QR, truncated-SVD
-pseudo-solution, and Tikhonov regularization with a discrepancy-principle
-choice of the regularization parameter.
+with partial pivoting, Householder QR, truncated-SVD pseudo-solution, and
+Tikhonov regularization with a discrepancy-principle choice of the
+regularization parameter.
 
+Dense LU, QR and the SVD are numpy's LAPACK (dgesv, dgeqrf, dgesdd) on the
+entries :func:`matrices.dense_array` reads; only Gaussian elimination on a
+band container runs here, as one banded elimination for both band types.
+QR factors [A | y], whose R factor carries Q^T y, so Q is never formed.
 The truncated-SVD and Tikhonov solvers read one full SVD A = U diag(s) V^T:
 Tikhonov runs in filter-factor form on it (Hansen, Rank-Deficient and
 Discrete Ill-Posed Problems, 1998), so each regularization parameter it
 tries costs O(m) and it never forms A^T A.  Each public solver computes its
 own SVD; the benchmark computes one per case and hands it to both.
 
-These are deliberately plain implementations; they return a solution whenever
-the arithmetic goes through and report failure only on exact singularity
-(zero pivot / zero R diagonal), or — for the SVD solver in emulation mode —
-on pathological conditioning.
+These are deliberately plain: no solver adds rank detection or safeguards
+of its own.  They return a solution whenever the arithmetic goes through and
+report failure only on exact singularity (zero pivot / zero R diagonal), or
+— for the SVD solver in emulation mode — on pathological conditioning.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .matrices import (
     _require,
     dense_array,
 )
-from .reduction import _apply_reflectors, _reflector
 
 __all__ = [
     "SolverOutcome",
@@ -57,23 +59,6 @@ class SolverOutcome:
     @property
     def failed(self) -> bool:
         return self.x is None
-
-
-def _gauss_dense(a: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    m = a.shape[0]
-    aug = np.hstack([a, y.reshape(-1, 1)])
-    for k in range(m):
-        piv = k + int(np.argmax(np.abs(aug[k:, k])))
-        if aug[piv, k] == 0.0:
-            return None
-        if piv != k:
-            aug[[k, piv]] = aug[[piv, k]]
-        factors = aug[k + 1 :, k] / aug[k, k]
-        aug[k + 1 :, k:] -= np.outer(factors, aug[k, k:])
-    x = np.zeros(m)
-    for i in range(m - 1, -1, -1):
-        x[i] = (aug[i, m] - aug[i, i + 1 : m] @ x[i + 1 :]) / aug[i, i]
-    return x
 
 
 def _gauss_band(w, y: np.ndarray) -> np.ndarray | None:
@@ -108,41 +93,40 @@ def _gauss_band(w, y: np.ndarray) -> np.ndarray | None:
 
 
 def solve_gauss(w: Matrix, y) -> SolverOutcome:
-    """LU with partial pivoting; the banded one for the band containers.
+    """LU with partial pivoting: LAPACK's dgesv (``np.linalg.solve``) on a
+    DenseMatrix, the banded elimination on the band containers.
 
     Returns a solution even when the system is badly conditioned; fails only
-    when elimination meets an exactly zero pivot with no admissible swap.
+    when U gets an exactly zero diagonal entry (an exactly zero pivot with no
+    admissible swap).  numpy runs dgesv under ``errstate(invalid="call")``,
+    so on a DenseMatrix a NaN that overflow produces during the elimination
+    fails it too.
     """
     y = _as_float_vector(y, "y", _require(w, Matrix).m)
-    x = _gauss_dense(w.a, y) if isinstance(w, DenseMatrix) else _gauss_band(w, y)
+    if isinstance(w, DenseMatrix):
+        try:
+            x = np.linalg.solve(w.a, y)
+        except np.linalg.LinAlgError:
+            x = None
+    else:
+        x = _gauss_band(w, y)
     note = "" if x is not None else "exactly singular pivot"
     return SolverOutcome(solver_id="GS", x=x, note=note)
 
 
 def solve_qr(w: Matrix, y) -> SolverOutcome:
-    """Householder QR followed by back substitution; fails only on an exactly
-    zero diagonal entry of R."""
-    r_mat = dense_array(w)
-    m = w.m
+    """Householder QR (LAPACK's dgeqrf, ``np.linalg.qr``) followed by back
+    substitution; fails only on an exactly zero diagonal entry of R.  The
+    factorization runs on [A | y], whose R factor is [R | Q^T y], so Q is
+    never formed."""
+    m = _require(w, Matrix).m
     y = _as_float_vector(y, "y", m)
-    reflectors = []
-    with np.errstate(over="ignore"):  # see reduction._reflector
-        for k in range(m - 1):
-            step = _reflector(r_mat[k:, k])
-            if step is None:
-                continue
-            v, alpha = step
-            r_mat[k, k] = alpha
-            block = r_mat[k:, k + 1 :]
-            block -= np.outer(v, 2.0 * (v @ block))
-            reflectors.append((k, v))
-    qty = _apply_reflectors(reflectors, y)
-    diag = np.diag(r_mat)
-    if np.any(diag == 0.0):
+    r_aug = np.linalg.qr(np.column_stack((dense_array(w), y)), mode="r")
+    if np.any(np.diag(r_aug) == 0.0):
         return SolverOutcome(solver_id="QR", x=None, note="exactly zero R diagonal")
     x = np.zeros(m)
     for i in range(m - 1, -1, -1):
-        x[i] = (qty[i] - r_mat[i, i + 1 :] @ x[i + 1 :]) / r_mat[i, i]
+        x[i] = (r_aug[i, m] - r_aug[i, i + 1 : m] @ x[i + 1 :]) / r_aug[i, i]
     return SolverOutcome(solver_id="QR", x=x)
 
 

@@ -237,11 +237,15 @@ def test_perturbed_profile_records_target():
     assert all(r.system_id == 17 for r in records)
 
 
-@pytest.mark.parametrize("cell", [(6, 20), (17, 8)])
-def test_cell_shares_one_svd_and_solves_no_normal_equations(monkeypatch, cell):
+@pytest.mark.parametrize("cell, expected", [
+    ((6, 20), ["values", "vectors"]),
+    ((17, 8), ["solve", "values", "vectors"]),
+], ids=["cell0", "cell1"])
+def test_cell_shares_one_svd_and_solves_no_normal_equations(monkeypatch, cell, expected):
     # All six solvers on one paper-like cell: the SVD and TRM solvers share
     # one SVD with vectors, the oracle adds its values-only SVD, and TRM's
-    # filter factors need no linear solve.
+    # filter factors need no linear solve.  The one solve is GS's LAPACK LU
+    # on the dense cell; on a band cell GS runs the banded elimination.
     calls = []
     svd, solve = np.linalg.svd, np.linalg.solve
 
@@ -257,4 +261,4 @@ def test_cell_shares_one_svd_and_solves_no_normal_equations(monkeypatch, cell):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     records = run_suite(Profile(name="one-cell", cells=(cell,)), seed=7)
     assert {r.solver_id for r in records} >= {"SVD", "TRM"}
-    assert sorted(calls) == ["values", "vectors"]
+    assert sorted(calls) == expected

@@ -15,6 +15,7 @@ from ccsolve.matrices import (
     TridiagonalMatrix,
     condition_number,
     dense_array,
+    frobenius_norm,
     matvec,
 )
 from ccsolve.reduction import (
@@ -27,7 +28,7 @@ from ccsolve.reduction import (
     solve_dense,
 )
 from ccsolve.reduction import ErrorBudget
-from ccsolve.reference import solve_qr
+from ccsolve.reference import solve_gauss, solve_qr
 from ccsolve.systems import classify, generate_system
 from explicit_reduction import explicit_reduce_general, explicit_reduce_symmetric
 
@@ -227,9 +228,10 @@ def test_solve_dense_route_override():
 
 @pytest.mark.parametrize("c", [2.0**-1000, 2.0**-565, 2.0**530])
 def test_reflectors_scale_extreme_entries(c):
-    # Squaring entries of c*A underflows or overflows; the reflectors work on
-    # an exact power-of-two rescaling, so the general route and QR solve the
-    # well-conditioned c*A as well as A.
+    # Squaring entries of c*A underflows or overflows; the reduction's
+    # reflectors work on an exact power-of-two rescaling, so the general route
+    # solves the well-conditioned c*A as well as A, and so do the LAPACK
+    # baselines, dense GS (dgesv) and QR (dgeqrf).
     rng = np.random.default_rng(612)
     b = rng.standard_normal((40, 40))
     b += np.diag(np.sum(np.abs(b), axis=1))
@@ -240,8 +242,24 @@ def test_reflectors_scale_extreme_entries(c):
         a = DenseMatrix(c * arr)
         f = a.a @ x
         z, _ = solve_dense(a, f, route="general")
-        for sol in (z, solve_qr(a, f).x):
+        for sol in (z, solve_gauss(a, f).x, solve_qr(a, f).x):
             assert np.max(np.abs(sol - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_of_huge_finite_entries_stay_finite():
+    # The squares of 1e160 overflow; the 2-norms rescale by a power of two,
+    # so the Frobenius norm and the reductions' error budget stay finite.
+    norm = frobenius_norm(DenseMatrix(1e160 * np.eye(3)))
+    want = math.sqrt(3.0) * 1e160
+    assert abs(norm - want) <= 4 * math.ulp(want)
+    arr = 1e160 * np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
+    f = arr @ np.array([1.0, 2.0, 3.0])
+    for route in ("symmetric", "general"):
+        _, diag = solve_dense(DenseMatrix(arr), f, route=route)
+        budget = diag.reduction.budget
+        assert math.isfinite(budget.h) and budget.h > 0.0
+        assert math.isfinite(budget.delta) and budget.delta > 0.0
 
 
 def test_reduction_input_checks():

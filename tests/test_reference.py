@@ -109,6 +109,22 @@ def test_gauss_fails_only_on_exact_zero_pivot():
     assert out.note == "exactly singular pivot"
 
 
+@pytest.mark.parametrize("sid, m", [(8, 5), (10, 5), (20, 3), (20, 4), (20, 6), (20, 8)])
+def test_failure_rules_on_exactly_singular_catalogue_systems(sid, m):
+    # Dense GS (LAPACK's dgesv) meets an exactly zero pivot on each of these
+    # exactly singular systems.  QR's R diagonal is rounding noise there, not
+    # an exact zero, so QR returns a finite x.
+    s = generate_system(sid, m)
+    w = DenseMatrix(dense_array(s.matrix))
+    gs = solve_gauss(w, s.y)
+    assert gs.failed
+    assert gs.note == "exactly singular pivot"
+    qr = solve_qr(w, s.y)
+    assert not qr.failed
+    assert qr.note == ""
+    assert np.all(np.isfinite(qr.x))
+
+
 def test_qr_well_posed_dense():
     s = generate_system(16, 5)
     out = solve_qr(s.matrix, s.y)
